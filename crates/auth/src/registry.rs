@@ -142,9 +142,8 @@ impl CredentialRegistry {
 
 /// A frozen copy of the registry taken by
 /// [`CredentialRegistry::snapshot`]. Verification runs against the
-/// copy — no lock, no shared mutable state — which is what lets
-/// concurrent claim lanes authenticate without contending on the
-/// registry's `RwLock`.
+/// copy — no lock, no shared mutable state — so claims authenticate
+/// without contending on the registry's `RwLock`.
 pub struct CredentialSnapshot {
     by_access_key: HashMap<String, (Credentials, bool)>,
     generation: u64,

@@ -24,41 +24,23 @@
 //!    scheduling round execute concurrently between their serial
 //!    claim/commit points, so `semester_speedup_at_4` is the headline
 //!    intra-run measure and the replica fan-out the embarrassingly
-//!    parallel ceiling;
-//! 6. the sharded commit-lane measure (DESIGN.md §16): a fault-free
-//!    `drive_until` drain of conflict-free jobs (distinct payloads,
-//!    distinct teams) at `shards` 1 vs 4, asserting identical outcome
-//!    digests and recording `commit_lane_speedup_at_4`. The semester
-//!    is also re-run at `shards = 4` and must reproduce the reference
-//!    fingerprint exactly;
-//! 7. the claim-lane measure (DESIGN.md §17): the same conflict-free
-//!    drain with the claim *tail* (auth, spec parse, image resolve,
-//!    payload fetch) fanned across `claim_lanes` 1 vs 4, asserting
-//!    identical outcome digests and recording `claim_speedup_at_4`.
-//!    The semester is also re-run at `claim_lanes = 4` and must
-//!    reproduce the reference fingerprint exactly.
+//!    parallel ceiling.
 //!
 //! Check mode (`--check`, the CI smoke job) re-runs the semester and
 //! chaos scenarios at the requested pool width (`--parallelism N`,
-//! default 1), shard count (`--shards N`, default 1), and claim-lane
-//! count (`--claim-lanes N`, default 1), verifies the committed
-//! `BENCH_perf.json` schema, asserts the fingerprints still match the
-//! committed values exactly (the committed fingerprints were recorded
-//! at width 1 / shards 1 / lanes 1, so this *is* the cross-width,
-//! cross-shard, cross-lane determinism gate), and fails if semester
+//! default 1), verifies the committed `BENCH_perf.json` schema,
+//! asserts the fingerprints still match the committed values exactly
+//! (the committed fingerprints were recorded at width 1, so this *is*
+//! the cross-width determinism gate), and fails if semester
 //! wall-clock — one warmup run, then the median of three timed runs —
 //! regressed more than 25% over the committed baseline. When the
 //! requested width and the host both have >= 4 cores it re-measures
 //! the single-run semester and the replica fan-out at widths 1 and 4
-//! and enforces the >= 1.5x job-level speedup floor on both; when the
-//! requested shard count and the host both have >= 4, it re-measures
-//! the commit-lane drain at shards 1 and 4 and enforces the >= 1.3x
-//! lane floor; when the requested claim-lane count and the host both
-//! have >= 4, it re-measures the claim drain at lanes 1 and 4 and
-//! enforces the >= 1.3x claim floor. It writes nothing.
+//! and enforces the >= 1.5x job-level speedup floor on both. It
+//! writes nothing.
 //!
 //! ```text
-//! cargo run --release -p rai-bench --bin perf_report [--check] [--parallelism N] [--shards N] [--claim-lanes N] [seed]
+//! cargo run --release -p rai-bench --bin perf_report [--check] [--parallelism N] [seed]
 //! ```
 //!
 //! The JSON schema is documented in EXPERIMENTS.md. Fingerprints are
@@ -100,20 +82,6 @@ const MIN_FANOUT_SPEEDUP: f64 = 1.5;
 /// scheduling gate (DESIGN.md §15). Same arming rule as the fan-out
 /// floor: a real multi-core gate needs real cores.
 const MIN_SEMESTER_SPEEDUP: f64 = 1.5;
-
-/// Commit-lane drain: jobs and fleet shape for the sharded scheduler
-/// measure (DESIGN.md §16), and its speedup floor at shards 4 vs 1 —
-/// armed under the same >= 4-core rule.
-const LANE_JOBS: usize = 48;
-const LANE_WORKERS: usize = 8;
-const MIN_LANE_SPEEDUP: f64 = 1.3;
-
-/// Claim drain: jobs and fleet shape for the claim-lane measure
-/// (DESIGN.md §17), and its speedup floor at claim lanes 4 vs 1 —
-/// armed under the same >= 4-core rule.
-const CLAIM_JOBS: usize = 48;
-const CLAIM_WORKERS: usize = 8;
-const MIN_CLAIM_SPEEDUP: f64 = 1.3;
 
 fn host_cpus() -> usize {
     std::thread::available_parallelism()
@@ -345,135 +313,6 @@ fn assert_fanout_floor(speedup: f64, cpus: usize) {
     }
 }
 
-/// Queue `LANE_JOBS` conflict-free jobs (distinct payloads, distinct
-/// teams — no shared chunk digest, no shared ranking row) on a
-/// fault-free system and time the `drive_until` drain. At `shards = 1`
-/// every commit serializes in claim order; at `shards = 4` commits
-/// spread across four lanes keyed by `job_id % 4` (DESIGN.md §16).
-/// Returns (wall, outcome digest) — the digest must be identical at
-/// every shard count.
-fn lane_drain(shards: usize, seed: u64) -> Timed<u64> {
-    use rai_core::{ProjectDir, RaiSystem, SubmitMode, SystemConfig};
-    let mut system = RaiSystem::new(SystemConfig {
-        workers: LANE_WORKERS,
-        parallelism: 4,
-        shards,
-        rate_limit: None,
-        seed,
-        ..Default::default()
-    });
-    let teams: Vec<_> = (0..LANE_JOBS)
-        .map(|i| system.register_team(&format!("lane-{i:02}"), &[]))
-        .collect();
-    for (i, creds) in teams.iter().enumerate() {
-        let project = ProjectDir::cuda_project_with_perf(
-            250.0 + i as f64 * 13.7,
-            0.9,
-            512 + i as u64,
-        );
-        system
-            .client_for(creds)
-            .begin_submit(&project, SubmitMode::Run)
-            .expect("queue lane job");
-    }
-    timed(|| {
-        let outcomes = system.drain();
-        assert_eq!(outcomes.len(), LANE_JOBS, "every lane job terminated");
-        let mut digest = 0xcbf29ce484222325u64;
-        let mut fold = |v: u64| {
-            digest ^= v;
-            digest = digest.wrapping_mul(0x100000001b3);
-        };
-        for o in &outcomes {
-            fold(o.job_id);
-            fold(o.success as u64);
-            fold(o.service_time.as_secs_f64().to_bits());
-        }
-        digest
-    })
-}
-
-/// Enforce the commit-lane floor — the sharded scheduler's gate —
-/// under the same >= 4-core arming rule as the other live floors.
-fn assert_lane_floor(speedup: f64, cpus: usize) {
-    if cpus >= 4 {
-        assert!(
-            speedup >= MIN_LANE_SPEEDUP,
-            "commit-lane speedup {speedup:.2}x at shards 4 below the \
-             {MIN_LANE_SPEEDUP}x floor on a {cpus}-core host"
-        );
-    } else {
-        println!(
-            "  (commit-lane floor dormant: host has {cpus} core(s), needs >= 4 to scale)"
-        );
-    }
-}
-
-/// Queue `CLAIM_JOBS` conflict-free jobs on a fault-free system and
-/// time the `drive_until` drain with the claim tail — auth, build-spec
-/// parse, image resolve, payload fetch + restore — on 1 vs
-/// `claim_lanes` lanes keyed by a hash of each job's log topic
-/// (DESIGN.md §17). The claim tail is the serial prefix of every
-/// scheduling round, so fanning it out shortens the round's critical
-/// path. Returns (wall, outcome digest) — the digest must be identical
-/// at every lane count.
-fn claim_drain(claim_lanes: usize, seed: u64) -> Timed<u64> {
-    use rai_core::{ProjectDir, RaiSystem, SubmitMode, SystemConfig};
-    let mut system = RaiSystem::new(SystemConfig {
-        workers: CLAIM_WORKERS,
-        parallelism: 4,
-        claim_lanes,
-        rate_limit: None,
-        seed,
-        ..Default::default()
-    });
-    let teams: Vec<_> = (0..CLAIM_JOBS)
-        .map(|i| system.register_team(&format!("claim-{i:02}"), &[]))
-        .collect();
-    for (i, creds) in teams.iter().enumerate() {
-        let project = ProjectDir::cuda_project_with_perf(
-            275.0 + i as f64 * 11.3,
-            0.9,
-            768 + i as u64,
-        );
-        system
-            .client_for(creds)
-            .begin_submit(&project, SubmitMode::Run)
-            .expect("queue claim job");
-    }
-    timed(|| {
-        let outcomes = system.drain();
-        assert_eq!(outcomes.len(), CLAIM_JOBS, "every claim job terminated");
-        let mut digest = 0xcbf29ce484222325u64;
-        let mut fold = |v: u64| {
-            digest ^= v;
-            digest = digest.wrapping_mul(0x100000001b3);
-        };
-        for o in &outcomes {
-            fold(o.job_id);
-            fold(o.success as u64);
-            fold(o.service_time.as_secs_f64().to_bits());
-        }
-        digest
-    })
-}
-
-/// Enforce the claim-lane floor — the parallel claim pipeline's gate —
-/// under the same >= 4-core arming rule as the other live floors.
-fn assert_claim_floor(speedup: f64, cpus: usize) {
-    if cpus >= 4 {
-        assert!(
-            speedup >= MIN_CLAIM_SPEEDUP,
-            "claim-lane speedup {speedup:.2}x at claim_lanes 4 below the \
-             {MIN_CLAIM_SPEEDUP}x floor on a {cpus}-core host"
-        );
-    } else {
-        println!(
-            "  (claim-lane floor dormant: host has {cpus} core(s), needs >= 4 to scale)"
-        );
-    }
-}
-
 /// Enforce the single-run semester floor — the job-level scheduler's
 /// gate — under the same arming rule.
 fn assert_semester_floor(speedup: f64, cpus: usize) {
@@ -504,10 +343,6 @@ struct Report {
     fanout_msgs_s: f64,
     scaling: Vec<ScalingLevel>,
     host_cpus: usize,
-    lane_wall_at_1: f64,
-    lane_wall_at_4: f64,
-    claim_wall_at_1: f64,
-    claim_wall_at_4: f64,
 }
 
 fn render(r: &Report) -> String {
@@ -515,7 +350,7 @@ fn render(r: &Report) -> String {
     let chaos = &r.chaos.result;
     let mut out = String::new();
     out.push_str("{\n");
-    out.push_str("  \"schema\": \"rai-perf-bench/5\",\n");
+    out.push_str("  \"schema\": \"rai-perf-bench/6\",\n");
     out.push_str(&format!("  \"seed\": {},\n", r.seed));
     out.push_str("  \"reference\": {\n");
     out.push_str(
@@ -619,50 +454,6 @@ fn render(r: &Report) -> String {
     out.push_str(
         "    \"note\": \"fingerprints are byte-identical at every width; the job-level scheduler executes independent submissions of a scheduling round concurrently between their serial claim/commit points (DESIGN.md 15), so the single-run semester scales with width and the replica fan-out is the embarrassingly parallel ceiling\"\n",
     );
-    out.push_str("  },\n");
-    out.push_str("  \"sharding\": {\n");
-    out.push_str(&format!("    \"lane_jobs\": {LANE_JOBS},\n"));
-    out.push_str(&format!("    \"lane_workers\": {LANE_WORKERS},\n"));
-    out.push_str(&format!(
-        "    \"commit_lane_wall_secs_at_1\": {:.4},\n",
-        r.lane_wall_at_1
-    ));
-    out.push_str(&format!(
-        "    \"commit_lane_wall_secs_at_4\": {:.4},\n",
-        r.lane_wall_at_4
-    ));
-    out.push_str(&format!(
-        "    \"commit_lane_speedup_at_4\": {:.2},\n",
-        r.lane_wall_at_1 / r.lane_wall_at_4
-    ));
-    out.push_str(&format!(
-        "    \"floor\": \"commit_lane_speedup_at_4 >= {MIN_LANE_SPEEDUP} enforced when host_cpus >= 4\",\n"
-    ));
-    out.push_str(
-        "    \"note\": \"shard assignment is a pure function of digest/key/job id (DESIGN.md 16): outcome digests, semester fingerprints, and recovery audits are byte-identical at every shard count, while conflict-free commits of a round spread across shards lanes\"\n",
-    );
-    out.push_str("  },\n");
-    out.push_str("  \"claiming\": {\n");
-    out.push_str(&format!("    \"claim_jobs\": {CLAIM_JOBS},\n"));
-    out.push_str(&format!("    \"claim_workers\": {CLAIM_WORKERS},\n"));
-    out.push_str(&format!(
-        "    \"claim_wall_secs_at_1\": {:.4},\n",
-        r.claim_wall_at_1
-    ));
-    out.push_str(&format!(
-        "    \"claim_wall_secs_at_4\": {:.4},\n",
-        r.claim_wall_at_4
-    ));
-    out.push_str(&format!(
-        "    \"claim_speedup_at_4\": {:.2},\n",
-        r.claim_wall_at_1 / r.claim_wall_at_4
-    ));
-    out.push_str(&format!(
-        "    \"floor\": \"claim_speedup_at_4 >= {MIN_CLAIM_SPEEDUP} enforced when host_cpus >= 4\",\n"
-    ));
-    out.push_str(
-        "    \"note\": \"the pop half of a claim stays serial and order-defining while the claim tails (auth snapshot, spec parse, image resolve, payload fetch) fan across lanes keyed by a hash of the job's log topic and re-sort into pop order (DESIGN.md 17): outcome digests and semester fingerprints are byte-identical at every claim-lane count\"\n",
-    );
     out.push_str("  }\n");
     out.push_str("}\n");
     out
@@ -691,11 +482,11 @@ fn extract<'a>(json: &'a str, section: &str, key: &str) -> &'a str {
 
 // ----------------------------------------------------------------- main
 
-fn check(seed: u64, parallelism: usize, shards: usize, claim_lanes: usize) {
+fn check(seed: u64, parallelism: usize) {
     let committed =
         std::fs::read_to_string("BENCH_perf.json").expect("read committed BENCH_perf.json");
     let schema = extract(&committed, "schema", "schema");
-    assert_eq!(schema, "rai-perf-bench/5", "unexpected schema");
+    assert_eq!(schema, "rai-perf-bench/6", "unexpected schema");
     let committed_sem_fp = extract(&committed, "semester", "fingerprint").to_string();
     let committed_chaos_fp = extract(&committed, "chaos", "fingerprint").to_string();
     let committed_wall: f64 = extract(&committed, "semester", "wall_secs")
@@ -713,23 +504,7 @@ fn check(seed: u64, parallelism: usize, shards: usize, claim_lanes: usize) {
     let committed_semester_speedup: f64 = extract(&committed, "scaling", "semester_speedup_at_4")
         .parse()
         .expect("scaling semester_speedup_at_4 is a number");
-    let committed_lane_speedup: f64 = extract(&committed, "sharding", "commit_lane_speedup_at_4")
-        .parse()
-        .expect("sharding commit_lane_speedup_at_4 is a number");
-    let committed_claim_speedup: f64 = extract(&committed, "claiming", "claim_speedup_at_4")
-        .parse()
-        .expect("claiming claim_speedup_at_4 is a number");
     if committed_cpus >= 4 {
-        assert!(
-            committed_lane_speedup >= MIN_LANE_SPEEDUP,
-            "committed commit-lane speedup {committed_lane_speedup:.2}x below the \
-             {MIN_LANE_SPEEDUP}x floor (recorded on a {committed_cpus}-core host)"
-        );
-        assert!(
-            committed_claim_speedup >= MIN_CLAIM_SPEEDUP,
-            "committed claim-lane speedup {committed_claim_speedup:.2}x below the \
-             {MIN_CLAIM_SPEEDUP}x floor (recorded on a {committed_cpus}-core host)"
-        );
         assert!(
             committed_fanout >= MIN_FANOUT_SPEEDUP,
             "committed replica fan-out speedup {committed_fanout:.2}x below the \
@@ -748,15 +523,12 @@ fn check(seed: u64, parallelism: usize, shards: usize, claim_lanes: usize) {
     // spike in either direction, where the old best-of-3 systematically
     // under-reported steady-state cost. Fingerprints are exact and
     // must match on every run, warmup included — the committed values
-    // were recorded at width 1 / shards 1 / lanes 1, so re-running at
-    // the requested configuration is the cross-config determinism gate.
+    // were recorded at width 1, so re-running at the requested width
+    // is the cross-width determinism gate.
     let run_semester_once = || {
         timed(|| {
             run_semester(
-                &SemesterConfig::scaled(TEAMS, DAYS, seed)
-                    .with_parallelism(parallelism)
-                    .with_shards(shards)
-                    .with_claim_lanes(claim_lanes),
+                &SemesterConfig::scaled(TEAMS, DAYS, seed).with_parallelism(parallelism),
             )
         })
     };
@@ -764,7 +536,7 @@ fn check(seed: u64, parallelism: usize, shards: usize, claim_lanes: usize) {
         let sem_fp = format!("{:#018x}", semester.result.fingerprint());
         assert_eq!(
             sem_fp, committed_sem_fp,
-            "semester fingerprint at parallelism {parallelism} shards {shards} claim_lanes {claim_lanes} drifted from the committed baseline"
+            "semester fingerprint at parallelism {parallelism} drifted from the committed baseline"
         );
     };
     let warmup = run_semester_once();
@@ -778,24 +550,19 @@ fn check(seed: u64, parallelism: usize, shards: usize, claim_lanes: usize) {
     walls.sort_by(f64::total_cmp);
     let median_wall = walls[1];
     let chaos = timed(|| {
-        run_chaos(
-            &ChaosConfig::acceptance(seed)
-                .with_parallelism(parallelism)
-                .with_shards(shards)
-                .with_claim_lanes(claim_lanes),
-        )
+        run_chaos(&ChaosConfig::acceptance(seed).with_parallelism(parallelism))
     });
     chaos.result.verify().expect("chaos audit");
     let chaos_fp = format!("{:#018x}", chaos.result.fingerprint);
     assert_eq!(
         chaos_fp, committed_chaos_fp,
-        "chaos fingerprint at parallelism {parallelism} shards {shards} claim_lanes {claim_lanes} drifted from the committed baseline"
+        "chaos fingerprint at parallelism {parallelism} drifted from the committed baseline"
     );
     // The drift band gates the reference configuration only: at width
     // > 1 an under-provisioned host pays pool-parking overhead that
     // says nothing about a code regression (the width-1 CI job already
     // guards the wall; this job guards fingerprints and the floor).
-    if parallelism == 1 && shards == 1 && claim_lanes == 1 {
+    if parallelism == 1 {
         assert!(
             median_wall <= committed_wall * MAX_WALL_DRIFT,
             "semester wall {median_wall:.3}s (median of 3 after warmup) regressed more than {:.0}% over committed {committed_wall:.3}s",
@@ -839,52 +606,14 @@ fn check(seed: u64, parallelism: usize, shards: usize, claim_lanes: usize) {
         assert_fanout_floor(speedup, cpus);
     }
 
-    // Live commit-lane gate: the sharded drain must reproduce the
-    // single-lock outcome digest exactly, and on a multi-core host the
-    // lane speedup must clear its floor.
-    if shards >= 4 {
-        let cpus = host_cpus();
-        let single = lane_drain(1, seed);
-        let sharded = lane_drain(4, seed);
-        assert_eq!(
-            single.result, sharded.result,
-            "lane-drain outcome digests diverged between shards 1 and 4"
-        );
-        let lane_speedup = single.wall / sharded.wall;
-        println!(
-            "perf check: commit-lane drain {:.3}s -> {:.3}s ({lane_speedup:.2}x) on {cpus} core(s)",
-            single.wall, sharded.wall
-        );
-        assert_lane_floor(lane_speedup, cpus);
-    }
-
-    // Live claim-lane gate: the fanned-out claim tail must reproduce
-    // the serial outcome digest exactly, and on a multi-core host the
-    // claim speedup must clear its floor.
-    if claim_lanes >= 4 {
-        let cpus = host_cpus();
-        let serial = claim_drain(1, seed);
-        let laned = claim_drain(4, seed);
-        assert_eq!(
-            serial.result, laned.result,
-            "claim-drain outcome digests diverged between claim lanes 1 and 4"
-        );
-        let claim_speedup = serial.wall / laned.wall;
-        println!(
-            "perf check: claim drain {:.3}s -> {:.3}s ({claim_speedup:.2}x) on {cpus} core(s)",
-            serial.wall, laned.wall
-        );
-        assert_claim_floor(claim_speedup, cpus);
-    }
-
-    if parallelism == 1 && shards == 1 && claim_lanes == 1 {
+    if parallelism == 1 {
         println!(
             "perf check: fingerprints match ({committed_sem_fp} / {chaos_fp}) at parallelism 1, wall {median_wall:.3}s (median of 3) within {:.0}% of committed {committed_wall:.3}s",
             (MAX_WALL_DRIFT - 1.0) * 100.0,
         );
     } else {
         println!(
-            "perf check: fingerprints match ({committed_sem_fp} / {chaos_fp}) at parallelism {parallelism} shards {shards} claim_lanes {claim_lanes}, wall {median_wall:.3}s (committed {committed_wall:.3}s, drift gated by the width-1 job)"
+            "perf check: fingerprints match ({committed_sem_fp} / {chaos_fp}) at parallelism {parallelism}, wall {median_wall:.3}s (committed {committed_wall:.3}s, drift gated by the width-1 job)"
         );
     }
 }
@@ -898,33 +627,19 @@ fn main() {
         .and_then(|i| args.get(i + 1))
         .map(|v| v.parse().expect("--parallelism takes a positive integer"))
         .unwrap_or(1);
-    let shards: usize = args
-        .iter()
-        .position(|a| a == "--shards")
-        .and_then(|i| args.get(i + 1))
-        .map(|v| v.parse().expect("--shards takes a positive integer"))
-        .unwrap_or(1);
-    let claim_lanes: usize = args
-        .iter()
-        .position(|a| a == "--claim-lanes")
-        .and_then(|i| args.get(i + 1))
-        .map(|v| v.parse().expect("--claim-lanes takes a positive integer"))
-        .unwrap_or(1);
     let seed: u64 = args
         .iter()
         .enumerate()
         .filter(|(i, _)| {
-            // Skip the --parallelism/--shards/--claim-lanes values; any
-            // other bare integer is the seed.
-            args.get(i.wrapping_sub(1)).is_none_or(|prev| {
-                prev != "--parallelism" && prev != "--shards" && prev != "--claim-lanes"
-            })
+            // Skip the --parallelism value; any other bare integer is
+            // the seed.
+            args.get(i.wrapping_sub(1)).is_none_or(|prev| prev != "--parallelism")
         })
         .find_map(|(_, a)| a.parse().ok())
         .unwrap_or(2016);
 
     if check_mode {
-        check(seed, parallelism, shards, claim_lanes);
+        check(seed, parallelism);
         return;
     }
 
@@ -999,49 +714,6 @@ fn main() {
     println!("    replica fan-out speedup   {fanout_speedup:.2}x at parallelism 4");
     assert_fanout_floor(fanout_speedup, cpus);
 
-    // Sharded commit lanes (DESIGN.md §16): the conflict-free drain at
-    // 1 vs 4 lock shards, plus the semester fingerprint gate at 4.
-    let lane_single = lane_drain(1, seed);
-    let lane_sharded = lane_drain(4, seed);
-    assert_eq!(
-        lane_single.result, lane_sharded.result,
-        "lane-drain outcome digests diverged between shards 1 and 4"
-    );
-    let lane_speedup = lane_single.wall / lane_sharded.wall;
-    println!(
-        "  commit lanes ({LANE_JOBS} jobs, {LANE_WORKERS} workers): {:.3}s -> {:.3}s ({lane_speedup:.2}x at shards 4)",
-        lane_single.wall, lane_sharded.wall
-    );
-    assert_lane_floor(lane_speedup, cpus);
-    let sharded_semester = run_semester(&config.clone().with_shards(4));
-    assert_eq!(
-        sharded_semester.fingerprint(),
-        semester.result.fingerprint(),
-        "semester fingerprint diverged at shards 4"
-    );
-
-    // Claim lanes (DESIGN.md §17): the conflict-free drain with the
-    // claim tail on 1 vs 4 lanes, plus the semester fingerprint gate
-    // at claim_lanes 4.
-    let claim_serial = claim_drain(1, seed);
-    let claim_laned = claim_drain(4, seed);
-    assert_eq!(
-        claim_serial.result, claim_laned.result,
-        "claim-drain outcome digests diverged between claim lanes 1 and 4"
-    );
-    let claim_speedup = claim_serial.wall / claim_laned.wall;
-    println!(
-        "  claim lanes ({CLAIM_JOBS} jobs, {CLAIM_WORKERS} workers): {:.3}s -> {:.3}s ({claim_speedup:.2}x at claim_lanes 4)",
-        claim_serial.wall, claim_laned.wall
-    );
-    assert_claim_floor(claim_speedup, cpus);
-    let laned_semester = run_semester(&config.clone().with_claim_lanes(4));
-    assert_eq!(
-        laned_semester.fingerprint(),
-        semester.result.fingerprint(),
-        "semester fingerprint diverged at claim_lanes 4"
-    );
-
     // The observational-purity gate: the planner, broker, chunker, and
     // store optimisations must not change a single observable byte.
     assert_eq!(
@@ -1070,10 +742,6 @@ fn main() {
         fanout_msgs_s,
         scaling,
         host_cpus: cpus,
-        lane_wall_at_1: lane_single.wall,
-        lane_wall_at_4: lane_sharded.wall,
-        claim_wall_at_1: claim_serial.wall,
-        claim_wall_at_4: claim_laned.wall,
     };
     std::fs::write("BENCH_perf.json", render(&report)).expect("write BENCH_perf.json");
     println!(

@@ -6,11 +6,8 @@
 //!
 //! 1. the **clean-kill byte-identity gate** — a fault-free quick course
 //!    killed mid-drive, recovered, resumed, at payload-pipeline widths
-//!    1 and 4 crossed with lock-domain shard counts 1 and 4 (sharded
-//!    runs journal chunk installs on per-shard WAL lanes and recover
-//!    from them, DESIGN.md §16) crossed with claim-lane counts 1 and 4
-//!    (DESIGN.md §17), asserting every recovered fingerprint equals
-//!    the uninterrupted same-seed run's;
+//!    1 and 4, asserting every recovered fingerprint equals the
+//!    uninterrupted same-seed run's;
 //! 2. the **chaos restart audit** — the full quick fault plan with a
 //!    mid-drive kill: zero lost, zero duplicated, everything accounted
 //!    across the restart;
@@ -45,17 +42,6 @@ const SEEDS: [u64; 3] = [2016, 408, 50181];
 
 /// Exec widths the clean-kill byte-identity gate sweeps.
 const WIDTHS: [usize; 2] = [1, 4];
-
-/// Lock-domain shard counts crossed with the widths — at `4`, the
-/// store journals chunk installs on four per-shard WAL lanes and the
-/// recovery replays all of them plus the main log (DESIGN.md §16).
-const SHARDS: [usize; 2] = [1, 4];
-
-/// Claim-lane counts crossed with the widths and shards — inert by
-/// the serial-fallback rule whenever a fault plan is attached, which
-/// the byte-identity gate proves across a kill/replay boundary
-/// (DESIGN.md §17).
-const CLAIM_LANES: [usize; 2] = [1, 4];
 
 /// The seeded kill point every scenario uses: mid-drive, a few worker
 /// steps into round 5 of the 12-round quick course.
@@ -111,27 +97,18 @@ fn run_seed(seed: u64) -> SeedReport {
     let baseline = run_recovery(&RecoveryConfig { kill: None, ..clean_cfg.clone() });
     baseline.verify().expect("uninterrupted clean run audits");
     for width in WIDTHS {
-        for shards in SHARDS {
-            for lanes in CLAIM_LANES {
-                let mut cfg = clean_cfg.clone();
-                cfg.chaos = cfg
-                    .chaos
-                    .with_parallelism(width)
-                    .with_shards(shards)
-                    .with_claim_lanes(lanes);
-                let resumed = run_recovery(&cfg);
-                assert!(resumed.killed, "seed {seed}: kill point never fired");
-                resumed.verify().expect("recovered clean run audits");
-                assert_eq!(
-                    resumed.fingerprint, baseline.fingerprint,
-                    "seed {seed} width {width} shards {shards} claim_lanes {lanes}: recovered run differs from uninterrupted run"
-                );
-            }
-        }
+        let mut cfg = clean_cfg.clone();
+        cfg.chaos = cfg.chaos.with_parallelism(width);
+        let resumed = run_recovery(&cfg);
+        assert!(resumed.killed, "seed {seed}: kill point never fired");
+        resumed.verify().expect("recovered clean run audits");
+        assert_eq!(
+            resumed.fingerprint, baseline.fingerprint,
+            "seed {seed} width {width}: recovered run differs from uninterrupted run"
+        );
     }
 
-    // 2. Chaos restart audit — and the same restart recovered from
-    // per-shard logs must land on identical bytes and audit numbers.
+    // 2. Chaos restart audit.
     let chaos = run_recovery(&RecoveryConfig {
         chaos: ChaosConfig::quick(seed),
         kill: Some(KILL),
@@ -144,26 +121,6 @@ fn run_seed(seed: u64) -> SeedReport {
         .expect("zero lost / zero duplicated across the chaos restart");
     let report = chaos.recovery.expect("a recovery happened");
     assert_eq!(report.db.malformed_dropped, 0, "clean crash corrupts nothing");
-    let chaos_sharded = run_recovery(&RecoveryConfig {
-        chaos: ChaosConfig::quick(seed).with_shards(4).with_claim_lanes(4),
-        kill: Some(KILL),
-        disk_faults: None,
-        durability: DurabilityConfig::durable(),
-    });
-    assert!(chaos_sharded.killed);
-    chaos_sharded
-        .verify()
-        .expect("zero lost / zero duplicated across the sharded-log restart");
-    assert_eq!(
-        chaos_sharded.fingerprint, chaos.fingerprint,
-        "seed {seed}: per-shard-log restart differs from the single-log restart"
-    );
-    assert_eq!(
-        (chaos_sharded.terminal.len(), chaos_sharded.dead_lettered.len()),
-        (chaos.terminal.len(), chaos.dead_lettered.len()),
-        "seed {seed}: sharded restart changed the audit counts"
-    );
-
     // 3. Dirty crash.
     let dirty = run_recovery(&RecoveryConfig::dirty(seed, KILL));
     assert!(dirty.killed);
@@ -252,19 +209,11 @@ fn render_json(seeds: &[SeedReport], host: &HostReport) -> String {
     };
     let mut out = String::new();
     out.push_str("{\n");
-    out.push_str("  \"schema\": \"rai-recovery-bench/3\",\n");
+    out.push_str("  \"schema\": \"rai-recovery-bench/4\",\n");
     out.push_str(&format!("  \"seeds\": [{}],\n", list(&|s| s.seed.to_string())));
     out.push_str(&format!(
         "  \"widths_checked\": [{}, {}],\n",
         WIDTHS[0], WIDTHS[1]
-    ));
-    out.push_str(&format!(
-        "  \"shards_checked\": [{}, {}],\n",
-        SHARDS[0], SHARDS[1]
-    ));
-    out.push_str(&format!(
-        "  \"claim_lanes_checked\": [{}, {}],\n",
-        CLAIM_LANES[0], CLAIM_LANES[1]
     ));
     out.push_str("  \"clean_kill\": {\n");
     out.push_str(&format!(
@@ -343,8 +292,8 @@ fn strip_host(json: &str) -> String {
 fn print_seed(s: &SeedReport) {
     println!("  seed {}", s.seed);
     println!(
-        "    clean kill       fingerprint {:#018x} over {} accepted, identical at widths {:?} x shards {:?} x claim lanes {:?}",
-        s.clean_fingerprint, s.clean_accepted, WIDTHS, SHARDS, CLAIM_LANES
+        "    clean kill       fingerprint {:#018x} over {} accepted, identical at widths {:?}",
+        s.clean_fingerprint, s.clean_accepted, WIDTHS
     );
     println!(
         "    chaos restart    {} accepted -> {} terminal + {} dead-lettered, {} republished",

@@ -78,30 +78,9 @@ impl std::fmt::Display for PublishError {
 
 impl std::error::Error for PublishError {}
 
-/// Number of dirty-list stripes. Topics hash onto a stripe at
-/// creation; concurrent claim lanes working distinct topics then mark
-/// dirtiness on distinct stripe locks and never contend unless their
-/// topics happen to share a stripe.
-const DIRTY_STRIPES: usize = 16;
-
-/// FNV-1a over a topic name — the stripe key. Stable across runs, so
-/// stripe assignment (like arena shard assignment) is a pure function
-/// of the name.
-fn stripe_of(name: &str) -> usize {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for b in name.as_bytes() {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    (h as usize) % DIRTY_STRIPES
-}
-
 struct TopicState {
     name: String,
     ephemeral: bool,
-    /// Which dirty-list stripe this topic registers on (fixed at
-    /// creation; pure function of the name).
-    stripe: usize,
     channels: Mutex<HashMap<String, Arc<ChannelState>>>,
     /// Messages published before the first channel existed.
     backlog: Mutex<VecDeque<Message>>,
@@ -122,13 +101,10 @@ struct BrokerInner {
     /// Topics with messages claimed since the last reclaim pass, so
     /// `reclaim_expired` visits O(touched topics) instead of rescanning
     /// the whole table (which is mostly short-lived `log_*` topics that
-    /// never hold a claim long). Striped by topic-name hash so claim
-    /// lanes popping distinct topics dirty-mark without contending on
-    /// one global list lock; `reclaim_expired` drains every stripe and
-    /// merges, so the pass itself is unchanged.
-    dirty: Vec<Mutex<Vec<Arc<TopicState>>>>,
-    /// Cumulative microseconds spent waiting on contended dirty-stripe
-    /// locks. A host fact: surfaced via `rai_lock_wait_micros_total`,
+    /// never hold a claim long).
+    dirty: Mutex<Vec<Arc<TopicState>>>,
+    /// Cumulative microseconds spent waiting on the contended dirty-list
+    /// lock. A host fact: surfaced via `rai_lock_wait_micros_total`,
     /// never in fingerprints.
     lock_wait_micros: AtomicU64,
     next_message_id: AtomicU64,
@@ -149,7 +125,6 @@ impl BrokerInner {
                 Arc::new(TopicState {
                     name: name.to_string(),
                     ephemeral,
-                    stripe: stripe_of(name),
                     channels: Mutex::new(HashMap::new()),
                     backlog: Mutex::new(VecDeque::new()),
                     published: AtomicU64::new(0),
@@ -159,14 +134,14 @@ impl BrokerInner {
             .clone()
     }
 
-    /// Lock one dirty stripe, charging contended waits to the
-    /// lock-wait counter. Uncontended cost is one `try_lock`.
-    fn dirty_stripe(&self, stripe: usize) -> parking_lot::MutexGuard<'_, Vec<Arc<TopicState>>> {
-        if let Some(g) = self.dirty[stripe].try_lock() {
+    /// Lock the dirty list, charging contended waits to the lock-wait
+    /// counter. Uncontended cost is one `try_lock`.
+    fn dirty_list(&self) -> parking_lot::MutexGuard<'_, Vec<Arc<TopicState>>> {
+        if let Some(g) = self.dirty.try_lock() {
             return g;
         }
         let start = std::time::Instant::now();
-        let g = self.dirty[stripe].lock();
+        let g = self.dirty.lock();
         self.lock_wait_micros
             .fetch_add(start.elapsed().as_micros() as u64, Ordering::Relaxed);
         g
@@ -174,17 +149,17 @@ impl BrokerInner {
 
     /// Note that `topic` just had a message claimed: it must be visited
     /// by the next `reclaim_expired` pass. The flag swap happens under
-    /// the topic's stripe lock so a concurrent
+    /// the dirty-list lock so a concurrent
     /// [`BrokerInner::clean_if_quiescent`] can never observe the flag
     /// set without the list entry (or vice versa).
     fn mark_dirty(&self, topic: &Arc<TopicState>) {
-        let mut dirty = self.dirty_stripe(topic.stripe);
+        let mut dirty = self.dirty_list();
         if !topic.dirty.swap(true, Ordering::AcqRel) {
             dirty.push(topic.clone());
         }
     }
 
-    /// Drop `topic` from its dirty stripe if it no longer holds any
+    /// Drop `topic` from the dirty list if it no longer holds any
     /// in-flight claim — the one-pass cleanup a fully-acked batch runs
     /// so `reclaim_expired` doesn't visit a topic that settled between
     /// passes. Safe against a racing claim: the claim increments its
@@ -193,7 +168,7 @@ impl BrokerInner {
     /// claim's `mark_dirty` runs after the flag clears here and
     /// re-registers the topic.
     fn clean_if_quiescent(&self, topic: &Arc<TopicState>) {
-        let mut dirty = self.dirty_stripe(topic.stripe);
+        let mut dirty = self.dirty_list();
         if !topic.dirty.load(Ordering::Acquire) {
             return;
         }
@@ -309,7 +284,7 @@ impl Broker {
                 config,
                 clock,
                 topics: RwLock::new(HashMap::new()),
-                dirty: (0..DIRTY_STRIPES).map(|_| Mutex::new(Vec::new())).collect(),
+                dirty: Mutex::new(Vec::new()),
                 lock_wait_micros: AtomicU64::new(0),
                 next_message_id: AtomicU64::new(1),
                 next_subscriber_id: AtomicU64::new(1),
@@ -472,13 +447,7 @@ impl Broker {
     /// order and messages in id order, so redelivery is deterministic.
     /// Returns how many messages went back to ready queues.
     pub fn reclaim_expired(&self, timeout: SimDuration) -> usize {
-        // Drain every stripe and merge: the name sort below restores
-        // one deterministic visit order regardless of how topics were
-        // scattered across stripes.
-        let mut dirty: Vec<Arc<TopicState>> = Vec::new();
-        for stripe in 0..DIRTY_STRIPES {
-            dirty.append(&mut *self.inner.dirty_stripe(stripe));
-        }
+        let mut dirty = std::mem::take(&mut *self.inner.dirty_list());
         dirty.sort_by(|a, b| a.name.cmp(&b.name));
         let mut n = 0;
         for t in dirty {
@@ -505,13 +474,12 @@ impl Broker {
 
     /// Topics awaiting a `reclaim_expired` visit (they had a message
     /// claimed since the last pass). Exposed for tests and benches.
-    /// Stripes partition the dirty set, so the sum is exact.
     pub fn dirty_topics(&self) -> usize {
-        (0..DIRTY_STRIPES).map(|s| self.inner.dirty_stripe(s).len()).sum()
+        self.inner.dirty_list().len()
     }
 
-    /// Cumulative microseconds spent waiting on contended dirty-stripe
-    /// locks — a host fact folded into `rai_lock_wait_micros_total`,
+    /// Cumulative microseconds spent waiting on the contended dirty-list
+    /// lock — a host fact folded into `rai_lock_wait_micros_total`,
     /// never into fingerprints.
     pub fn lock_wait_micros(&self) -> u64 {
         self.inner.lock_wait_micros.load(Ordering::Relaxed)
@@ -1032,12 +1000,11 @@ mod tests {
     }
 
     #[test]
-    fn dirty_stripes_partition_the_dirty_set() {
+    fn reclaim_drains_every_dirty_topic_in_one_sweep() {
         let clock = VirtualClock::new();
         let b = Broker::with_clock(BrokerConfig::default(), clock.clone());
-        // Claims on many topics land on many distinct stripes; the
-        // dirty count is the exact sum over stripes, and one reclaim
-        // pass drains every stripe in a single deterministic sweep.
+        // Claims on many topics dirty many topics; one reclaim pass
+        // drains them all in a single deterministic sweep.
         let subs: Vec<Subscription> = (0..24)
             .map(|i| {
                 let name = format!("rai_{i:02}");
@@ -1051,7 +1018,7 @@ mod tests {
         clock.advance(SimDuration::from_secs(6));
         assert_eq!(b.reclaim_expired(SimDuration::from_secs(5)), 24);
         assert_eq!(b.dirty_topics(), 0);
-        // Settling a batch cleans only the topic's own stripe entry.
+        // Settling a batch cleans only the topic's own entry.
         let again = subs[7].recv_timeout(Duration::from_millis(100)).unwrap();
         assert_eq!(b.dirty_topics(), 1);
         assert_eq!(subs[7].ack_batch(&[again.id]), 1);

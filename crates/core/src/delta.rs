@@ -13,7 +13,7 @@
 use rai_archive::chunk::{chunk_bytes, chunk_bytes_on, Chunk, ChunkManifest, ChunkerParams};
 use rai_exec::Executor;
 use rai_store::{ObjectStore, StoreError};
-use parking_lot::RwLock;
+use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -51,14 +51,6 @@ impl PreparedUpload {
         self.manifest.total_len
     }
 
-    /// The chunk digests this upload references, in manifest order.
-    /// Lane schedulers compare these across a batch: two uploads
-    /// sharing a digest would race their dedup outcome (who admits,
-    /// who hits — and therefore who pays wire bytes), so overlapping
-    /// batches fall back to serial commit order.
-    pub fn chunk_digests(&self) -> impl Iterator<Item = u64> + '_ {
-        self.manifest.chunks.iter().map(|r| r.digest)
-    }
 }
 
 /// What a delta upload actually cost.
@@ -85,15 +77,9 @@ impl DeltaReceipt {
     }
 }
 
-/// Stripe count of the concurrent digest cache. Digests scatter by
-/// their low bits; readers on distinct stripes never share a lock.
-const CACHE_STRIPES: usize = 16;
-
-/// The uploader's generation-stamped concurrent digest memo (the
-/// cs431 concurrent-memoization shape). Lookups take a per-stripe
-/// *read* lock — concurrent claim lanes probing the cache never block
-/// one another — and the only writers are the post-commit insert and
-/// the `MissingChunks` self-heal eviction.
+/// The uploader's generation-stamped digest memo. The only writers
+/// are the post-commit insert and the `MissingChunks` self-heal
+/// eviction.
 ///
 /// The generation counter closes the lost-eviction race: an insert
 /// records the generation it *observed* before its store round trip,
@@ -104,20 +90,18 @@ const CACHE_STRIPES: usize = 16;
 /// now-stale `d` back. Skipping a racing insert merely costs one
 /// future `has_chunks` query; the cache is a hint either way.
 struct DigestCache {
-    stripes: Vec<RwLock<HashSet<u64>>>,
+    digests: Mutex<HashSet<u64>>,
+    /// Advanced only under the `digests` lock, so an insert's check
+    /// and its writes are atomic against any eviction.
     generation: AtomicU64,
 }
 
 impl DigestCache {
     fn new() -> Self {
         DigestCache {
-            stripes: (0..CACHE_STRIPES).map(|_| RwLock::new(HashSet::new())).collect(),
+            digests: Mutex::new(HashSet::new()),
             generation: AtomicU64::new(0),
         }
-    }
-
-    fn stripe_of(&self, digest: u64) -> usize {
-        (digest as usize) % self.stripes.len()
     }
 
     /// Current eviction generation; pass the observed value back to
@@ -126,33 +110,32 @@ impl DigestCache {
         self.generation.load(Ordering::Acquire)
     }
 
-    /// Shared-lock lookup: never blocks other readers.
+    #[cfg(test)]
     fn contains(&self, digest: u64) -> bool {
-        self.stripes[self.stripe_of(digest)].read().contains(&digest)
+        self.digests.lock().contains(&digest)
     }
 
     /// Insert `digests` only if no eviction intervened since
     /// `observed_generation` was read (ABA guard; see type docs).
     fn insert_if_current(&self, digests: impl Iterator<Item = u64>, observed_generation: u64) {
-        if self.generation.load(Ordering::Acquire) != observed_generation {
-            return;
-        }
-        for d in digests {
-            self.stripes[self.stripe_of(d)].write().insert(d);
+        let mut cache = self.digests.lock();
+        if self.generation.load(Ordering::Acquire) == observed_generation {
+            cache.extend(digests);
         }
     }
 
     /// Drop stale digests and advance the generation, invalidating any
     /// insert still in flight against the old one.
     fn evict(&self, digests: &[u64]) {
+        let mut cache = self.digests.lock();
         for d in digests {
-            self.stripes[self.stripe_of(*d)].write().remove(d);
+            cache.remove(d);
         }
         self.generation.fetch_add(1, Ordering::Release);
     }
 
     fn len(&self) -> usize {
-        self.stripes.iter().map(|s| s.read().len()).sum()
+        self.digests.lock().len()
     }
 }
 
@@ -163,9 +146,9 @@ impl DigestCache {
 /// unchanged chunks. It is only a hint: if the store garbage-collected
 /// a cached chunk in the meantime, `put_delta` fails atomically with
 /// [`StoreError::MissingChunks`], the stale entries are dropped, and
-/// the upload retries with a fresh query. The cache is a
-/// generation-stamped concurrent memo (`DigestCache`), so concurrent
-/// claim lanes probe it on shared locks without serializing.
+/// the upload retries with a fresh query. The cache is
+/// generation-stamped (`DigestCache`) so a late insert never undoes a
+/// concurrent eviction.
 pub struct DeltaUploader {
     params: ChunkerParams,
     cache: DigestCache,
@@ -242,17 +225,19 @@ impl DeltaUploader {
         let user_meta: Vec<(String, String)> = user_meta.into_iter().collect();
 
         // First pass trusts the cache; a second pass (after a
-        // MissingChunks rejection) bypasses it. The cache probe runs
-        // on shared stripe locks, and the post-commit insert carries
-        // the generation observed *before* the store round trip so a
-        // racing eviction wins (see [`DigestCache`]).
+        // MissingChunks rejection) bypasses it. The post-commit insert
+        // carries the generation observed *before* the store round
+        // trip so a racing eviction wins (see [`DigestCache`]).
         for trust_cache in [true, false] {
             let observed_generation = self.cache.generation();
-            let unknown: Vec<u64> = by_digest
-                .keys()
-                .filter(|d| !(trust_cache && self.cache.contains(**d)))
-                .copied()
-                .collect();
+            let unknown: Vec<u64> = {
+                let cache = self.cache.digests.lock();
+                by_digest
+                    .keys()
+                    .filter(|d| !(trust_cache && cache.contains(d)))
+                    .copied()
+                    .collect()
+            };
             let resident = store.has_chunks(&unknown)?;
             let to_send: Vec<Chunk> = unknown
                 .iter()
@@ -422,10 +407,9 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_cache_probes_share_read_locks() {
+    fn concurrent_cache_probes_all_hit() {
         // Many threads probing one warmed uploader cache concurrently:
-        // all succeed with zero chunks sent, exercising the shared
-        // stripe-read path under real parallelism.
+        // all succeed with zero chunks sent.
         let s = store();
         let up = std::sync::Arc::new(DeltaUploader::new());
         let data = payload(32_000, 11);

@@ -133,15 +133,14 @@ fn attempt_no(attempt: u64) -> u32 {
 }
 
 /// A task message popped from the broker but not yet claimed: the
-/// output of the serial, order-defining half of the claim phase
-/// (DESIGN.md §17).
+/// output of the order-defining half of the claim phase.
 ///
 /// The pop half — `try_recv_batch`, message decode, malformed-ack,
 /// in-flight accounting — is what fixes the round's job composition
-/// and claim order, so it always runs serially in worker order. The
-/// rest of the claim (auth, spec parse, image pull, project fetch) is
-/// per-worker work against thread-safe services, which is what lets
-/// [`Worker::claim_popped`] run on concurrent claim lanes.
+/// and claim order. Drivers that schedule their own pops (the
+/// semester's FIFO dispatch) pop first and then hand the tasks to
+/// [`Worker::claim_popped`] for auth, spec parse, image pull and
+/// project fetch.
 pub struct PoppedTask {
     msg_id: MessageId,
     request: JobRequest,
@@ -150,7 +149,7 @@ pub struct PoppedTask {
 }
 
 impl PoppedTask {
-    /// Id of the popped job (claim lanes key on its log topic).
+    /// Id of the popped job.
     pub fn job_id(&self) -> u64 {
         self.request.job_id
     }
@@ -166,13 +165,6 @@ impl PoppedTask {
 /// (project tree, image, limits, dilation, pre-drawn crash decisions),
 /// which is why [`Worker::execute`] can take it by value onto a pool
 /// task without touching the worker at all.
-///
-/// The one sanctioned relaxation is the claim-lane scheduler
-/// (DESIGN.md §17): the *pop* half stays serial, while the claim tail
-/// ([`Worker::claim_popped`]) may run on concurrent lanes when no
-/// fault injector is attached, because each lane owns its workers
-/// exclusively and every shared service it touches is thread-safe and
-/// order-insensitive there.
 pub struct ClaimedJob {
     /// Broker message backing this claim (`None` when driven directly
     /// via [`Worker::run_job`], which manages queueing itself).
@@ -267,32 +259,6 @@ impl ExecutedJob {
     /// Id of the executed job.
     pub fn job_id(&self) -> u64 {
         self.request.job_id
-    }
-
-    /// The submitting team.
-    pub fn team(&self) -> &str {
-        &self.request.team
-    }
-
-    /// Chunk digests the commit phase will try to upload (empty for
-    /// rejected or crashed jobs). Lane schedulers use these to detect
-    /// same-round dedup overlap — see
-    /// [`crate::delta::PreparedUpload::chunk_digests`].
-    pub fn upload_digests(&self) -> Vec<u64> {
-        match &self.outcome {
-            ExecOutcome::Built { prepared, .. } => prepared.chunk_digests().collect(),
-            _ => Vec::new(),
-        }
-    }
-
-    /// Whether the commit phase will write a leaderboard row. Two
-    /// ranking upserts for the same team are last-writer-wins, so a
-    /// lane scheduler must not let them race.
-    pub fn writes_ranking(&self) -> bool {
-        matches!(
-            &self.outcome,
-            ExecOutcome::Built { success: true, measured: Some(_), .. }
-        ) && self.request.kind == JobKind::Submit
     }
 }
 
@@ -463,10 +429,6 @@ impl Worker {
     /// redelivery counting, in-flight accounting) without touching
     /// auth, images, or the store. Returns `None` when the queue is
     /// empty or this worker is at its in-flight limit.
-    ///
-    /// Claim-lane drivers (DESIGN.md §17) pop every worker serially —
-    /// fixing the round's composition and claim order — then fan the
-    /// popped tasks across lanes for [`Worker::claim_popped`].
     pub fn pop_task(&mut self) -> Option<PoppedTask> {
         loop {
             if self.active_jobs >= self.config.max_in_flight {
@@ -508,12 +470,7 @@ impl Worker {
     }
 
     /// The claim tail for an already-popped task: auth, build-spec
-    /// parse, image resolve/pull, and the project fetch. Everything it
-    /// touches is either worker-exclusive state or a thread-safe
-    /// shared service, so lanes holding distinct `&mut Worker`s may
-    /// run it concurrently (DESIGN.md §17); results are identical to
-    /// the serial schedule because each claim's inputs are independent
-    /// of its neighbours'.
+    /// parse, image resolve/pull, and the project fetch.
     pub fn claim_popped(&mut self, popped: PoppedTask) -> ClaimedJob {
         let PoppedTask { msg_id, request, attempt, co_scheduled } = popped;
         self.claim_request(&request, attempt, co_scheduled, Some(msg_id))
@@ -756,9 +713,8 @@ impl Worker {
         // ② Check the credentials — against the worker's read-only
         // snapshot, not the registry lock. One atomic load detects
         // staleness; the snapshot rebuilds only after a register or
-        // revoke, so steady-state claims (and every concurrent claim
-        // lane) authenticate without contending on the registry at
-        // all. `CredentialSnapshot::authenticate` has exactly the
+        // revoke, so steady-state claims authenticate without
+        // contending on the registry at all. `CredentialSnapshot::authenticate` has exactly the
         // registry's semantics, so outcomes are byte-identical.
         let current_generation = self.auth_generation.load(Ordering::Acquire);
         if self.auth_snapshot.as_ref().map(CredentialSnapshot::generation)
@@ -999,11 +955,7 @@ impl Worker {
     /// then ack the message (terminal) or report the crash (unacked).
     /// Batch schedulers must call this in claim order — it is the only
     /// phase that talks to broker/store/db, so commit order *is* the
-    /// fault-draw order. The one sanctioned exception is the sharded
-    /// commit-lane scheduler (DESIGN.md §16): with no fault injector
-    /// attached, commits whose jobs share no chunk digest and no
-    /// ranking team commute, so lanes keyed by `job_id % lanes` may
-    /// run concurrently while each lane preserves claim order.
+    /// fault-draw order.
     pub fn commit(&mut self, executed: ExecutedJob) -> StepEvent {
         let msg_id = executed.msg_id;
         let result = self.commit_job(executed);

@@ -45,45 +45,12 @@ pub struct Database {
     collections: Arc<RwLock<BTreeMap<String, Arc<RwLock<Collection>>>>>,
     injector: Arc<RwLock<Option<rai_faults::FaultInjector>>>,
     wal: Arc<RwLock<Option<Wal>>>,
-    /// Hash-partition count for collections created after
-    /// [`Database::set_shards`]; 0 (the `Default`) reads as 1.
-    shards: Arc<std::sync::atomic::AtomicUsize>,
 }
 
 impl Database {
     /// An empty database.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Set the hash-partition count used for collections created from
-    /// now on (existing collections keep theirs — call at boot, before
-    /// first use). Shard assignment is `_id % shards`, a pure function
-    /// of the primary key, and every read path merges canonically, so
-    /// the knob is invisible to results; 1 is the reference config.
-    pub fn set_shards(&self, shards: usize) {
-        self.shards
-            .store(shards.max(1), std::sync::atomic::Ordering::Relaxed);
-    }
-
-    /// The configured hash-partition count.
-    pub fn shards(&self) -> usize {
-        self.shards.load(std::sync::atomic::Ordering::Relaxed).max(1)
-    }
-
-    /// Documents resident per shard index, summed across collections —
-    /// the occupancy gauge surfaced as `rai_db_shard_docs`.
-    pub fn shard_doc_counts(&self) -> Vec<u64> {
-        let mut out: Vec<u64> = Vec::new();
-        for coll in self.collections.read().values() {
-            for (i, n) in coll.read().shard_sizes().into_iter().enumerate() {
-                if out.len() <= i {
-                    out.resize(i + 1, 0);
-                }
-                out[i] += n as u64;
-            }
-        }
-        out
     }
 
     /// Attach a seeded fault injector. The engine stays infallible;
@@ -136,16 +103,7 @@ impl Database {
     /// Corrupt or malformed records are dropped and counted — recovery
     /// never panics on a damaged log.
     pub fn recover(wal: Wal) -> (Database, DbRecovery) {
-        Self::recover_sharded(wal, 1)
-    }
-
-    /// [`Database::recover`] into a hash-partitioned database. Replay
-    /// is logical (records re-run through the normal mutation paths),
-    /// so the log is shard-count independent: a log written at any
-    /// shard count recovers identically at any other.
-    pub fn recover_sharded(wal: Wal, shards: usize) -> (Database, DbRecovery) {
         let db = Database::new();
-        db.set_shards(shards);
         let replay = wal.replay();
         let mut recovery = DbRecovery { stats: replay.stats, ..DbRecovery::default() };
         for payload in &replay.records {
@@ -225,7 +183,7 @@ impl Database {
             .write()
             .entry(name.to_string())
             .or_insert_with(|| {
-                let mut coll = Collection::with_shards(self.shards());
+                let mut coll = Collection::new();
                 if let Some(wal) = wal {
                     coll.set_journal(Some(JournalSink::new(wal, name)));
                 }
@@ -469,41 +427,6 @@ mod tests {
         let n = recovered.collection("events").read().len();
         assert!((10..15).contains(&n), "synced rows survive, torn tail lost: {n}");
         assert!(recovery.stats.torn_bytes > 0);
-    }
-
-    #[test]
-    fn sharded_recovery_is_shard_count_independent() {
-        // Write the log from a 4-shard database…
-        let disk = rai_wal::MemDisk::new();
-        let wal = rai_wal::Wal::open(
-            Arc::new(disk.clone()),
-            rai_wal::DurabilityConfig::durable(),
-        );
-        let db = Database::new();
-        db.set_shards(4);
-        db.attach_wal(wal);
-        let coll = db.collection("submissions");
-        assert_eq!(coll.read().shard_count(), 4);
-        coll.write().create_index("team");
-        for i in 0..30i64 {
-            coll.write().insert_one(doc! { "team" => format!("t{}", i % 7), "n" => i });
-        }
-        coll.write().delete_many(&doc! { "n" => doc!{ "$gte" => 25 } });
-        db.sync_wal();
-        assert_eq!(db.shard_doc_counts().iter().sum::<u64>(), 25);
-
-        // …and recover it at 1, 4, and 16 shards: identical state.
-        let reference = fingerprint(&db);
-        for shards in [1usize, 4, 16] {
-            let wal = rai_wal::Wal::open(
-                Arc::new(disk.clone()),
-                rai_wal::DurabilityConfig::durable(),
-            );
-            let (recovered, recovery) = Database::recover_sharded(wal, shards);
-            assert_eq!(recovery.stats.corrupt_dropped, 0);
-            assert_eq!(fingerprint(&recovered), reference, "diverged at {shards} shards");
-            assert_eq!(recovered.collection("submissions").read().shard_count(), shards);
-        }
     }
 
     #[test]

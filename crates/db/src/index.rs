@@ -102,20 +102,6 @@ impl Index {
         fwd.into_iter().flatten().chain(rev.into_iter().flatten())
     }
 
-    /// `(key, id)` pairs in the same order as
-    /// [`Index::ids_in_key_order`]. Sharded collections k-way merge one
-    /// of these streams per shard; exposing the key lets the merge
-    /// reproduce the exact global `(key, id)` order a single index
-    /// would have produced.
-    pub fn entries_in_key_order(&self, desc: bool) -> impl Iterator<Item = (&Value, u64)> + '_ {
-        fn pairs<'a>((k, s): (&'a IndexKey, &'a BTreeSet<u64>)) -> impl Iterator<Item = (&'a Value, u64)> {
-            s.iter().map(move |&id| (&k.0, id))
-        }
-        let fwd = (!desc).then(|| self.map.iter().flat_map(pairs));
-        let rev = desc.then(|| self.map.iter().rev().flat_map(pairs));
-        fwd.into_iter().flatten().chain(rev.into_iter().flatten())
-    }
-
     /// Doc ids with field exactly `value`.
     pub fn lookup_eq(&self, value: &Value) -> Vec<u64> {
         self.map

@@ -332,17 +332,6 @@ impl Executor {
             .collect()
     }
 
-    /// Record one claim/execute/commit batch scheduled *outside*
-    /// [`Executor::run_jobs`] — a lane-partitioned commit driver runs
-    /// the phases itself via [`Executor::par_map`] and
-    /// [`Executor::scope`], and calls this so the batch counters stay
-    /// comparable across scheduling modes.
-    pub fn note_batch(&self, jobs: usize) {
-        let counters = self.counters();
-        counters.batches.fetch_add(1, Ordering::Relaxed);
-        counters.batch_jobs.fetch_add(jobs as u64, Ordering::Relaxed);
-    }
-
     /// Pull one pending job off the pool, if any: injector first, then
     /// steal from the front of any worker deque. Used by joining
     /// threads to help instead of blocking.

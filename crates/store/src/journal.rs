@@ -298,18 +298,6 @@ pub enum StoreRecord {
         /// Cumulative counters.
         counters: SnapCounters,
     },
-    /// A chunk newly admitted to one arena shard, journaled to that
-    /// shard's own log stream (sharded mode only; at `shards == 1`
-    /// chunk bytes ride [`StoreRecord::Put::new_chunks`] instead).
-    /// Replay pre-installs these at refcount zero before the main
-    /// object log runs, so `Put` records never carry bytes and the
-    /// main-log order is independent of shard-log order.
-    ChunkInstall {
-        /// The chunk's content digest (also selects the shard).
-        digest: u64,
-        /// The chunk's bytes.
-        bytes: Bytes,
-    },
 }
 
 impl StoreRecord {
@@ -386,11 +374,6 @@ impl StoreRecord {
                     put_u64(&mut out, v);
                 }
             }
-            StoreRecord::ChunkInstall { digest, bytes } => {
-                out.push(7);
-                put_u64(&mut out, *digest);
-                put_bytes(&mut out, bytes);
-            }
         }
         out
     }
@@ -455,7 +438,6 @@ impl StoreRecord {
                     },
                 }
             }
-            7 => StoreRecord::ChunkInstall { digest: r.u64()?, bytes: r.bytes()? },
             _ => return None,
         };
         r.done().then_some(rec)
@@ -518,10 +500,6 @@ mod tests {
                 chunks: vec![(7, Bytes::from_static(b"zz"))],
                 counters: SnapCounters { puts: 3, dedup_hits: 1, ..SnapCounters::default() },
             },
-            StoreRecord::ChunkInstall {
-                digest: 0xFEED_FACE,
-                bytes: Bytes::from_static(b"chunk body"),
-            },
         ];
         for rec in records {
             assert_eq!(StoreRecord::decode(&rec.encode()), Some(rec));
@@ -532,6 +510,11 @@ mod tests {
     fn malformed_payloads_decode_to_none() {
         assert_eq!(StoreRecord::decode(&[]), None);
         assert_eq!(StoreRecord::decode(&[77]), None);
+        // Tag 7 is unassigned: a record carrying it is unknown, not a
+        // chunk install.
+        let mut unknown = vec![7u8];
+        unknown.extend_from_slice(&0xFEED_FACEu64.to_le_bytes());
+        assert_eq!(StoreRecord::decode(&unknown), None);
         let mut bytes = StoreRecord::Sweep { time_millis: 1 }.encode();
         bytes.push(9);
         assert_eq!(StoreRecord::decode(&bytes), None);

@@ -10,7 +10,7 @@
 //! re-uploads is stored once; `has_chunks` lets clients discover
 //! which chunks the store already holds and upload only the rest.
 
-use crate::dedup::ChunkArena;
+use crate::dedup::{ChunkArena, ChunkStore};
 use crate::journal::{SnapBucket, SnapCounters, SnapObject, StoreRecord};
 use crate::lifecycle::LifecycleRule;
 use crate::object::{ObjectMeta, StoredObject};
@@ -20,7 +20,7 @@ use rai_archive::chunk::{assemble, chunk_bytes_on, Chunk, ChunkManifest, Chunker
 use rai_archive::fnv;
 use rai_exec::Executor;
 use rai_sim::{SimTime, VirtualClock};
-use rai_wal::{DurabilityConfig, LogBackend, StripedBackend, Wal};
+use rai_wal::Wal;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -86,19 +86,14 @@ struct BucketState {
     objects: BTreeMap<String, ObjRecord>,
 }
 
-/// Bucket and object metadata. Since the sharding change (DESIGN.md
-/// §16) the chunk arena lives in its own lock domains
+/// Bucket and object metadata. The chunk arena has its own lock
 /// ([`crate::dedup::ChunkArena`]); this lock covers manifests only.
 ///
-/// Lock-order invariant: `state` before arena shards (shards among
-/// themselves in ascending index order), never the reverse. Chunk
-/// *releases* (overwrite, delete, sweep) always run under the state
-/// write lock, so a reader holding it (or even the read half — writers
-/// are excluded either way) can assemble a resident manifest from the
-/// arena without its chunks being freed mid-read. Chunk *admissions*
-/// only ever add bytes and references, so they may run outside the
-/// state lock — that is what lets concurrent `put_delta`s on disjoint
-/// digest prefixes proceed in parallel.
+/// Lock-order invariant: `state` before the arena, never the reverse.
+/// Every mutation — admission, overwrite, delete, sweep — runs under
+/// the state write lock, so a reader holding it can assemble a
+/// resident manifest from the arena without its chunks being freed
+/// mid-read, and the log order matches the application order.
 struct StoreState {
     buckets: BTreeMap<String, BucketState>,
 }
@@ -122,8 +117,7 @@ struct StoreInner {
     /// Chunker parameters used by whole-payload `put`s.
     chunker: ChunkerParams,
     state: RwLock<StoreState>,
-    /// The refcounted chunk arena, hash-partitioned by digest prefix
-    /// into independent lock domains (1 shard = the reference config).
+    /// The refcounted chunk arena.
     arena: ChunkArena,
     counters: RwLock<Counters>,
     /// Remaining operations that should fail (fault injection).
@@ -134,18 +128,9 @@ struct StoreInner {
     /// Sequential by default; a pool spreads the per-chunk digest work
     /// without changing any stored byte (DESIGN.md §12).
     executor: RwLock<Executor>,
-    /// Optional write-ahead log for object mutations. When attached
-    /// without chunk logs (the legacy single-log layout), chunk bytes
-    /// ride `Put` records and every put serializes under the state
-    /// lock so log order matches application order.
+    /// Optional write-ahead log for object mutations. Chunk bytes ride
+    /// `Put` records.
     wal: RwLock<Option<Wal>>,
-    /// Sharded-durable mode: one chunk log per arena shard (empty
-    /// otherwise). Newly admitted chunk bytes are journaled as
-    /// [`StoreRecord::ChunkInstall`] under the owning shard's lock, so
-    /// each shard's log order matches its admission order and the main
-    /// log's `Put` records carry no bytes — which is what lets
-    /// admissions run outside the state lock without racing replay.
-    chunk_wals: RwLock<Vec<Wal>>,
 }
 
 /// Minimum total provided-chunk bytes before `put_delta` pre-hashes on
@@ -206,18 +191,8 @@ fn next_presign_secret() -> u64 {
 }
 
 impl ObjectStore {
-    /// A store reading time from `clock`, with a single-lock chunk
-    /// arena (the reference configuration).
+    /// A store reading time from `clock`.
     pub fn new(clock: VirtualClock) -> Self {
-        Self::with_shards(clock, 1)
-    }
-
-    /// A store whose chunk arena is partitioned into `shards`
-    /// digest-prefix lock domains (clamped to at least 1). Shard
-    /// assignment is a pure function of the digest, and every
-    /// observable result is byte-identical at any shard count — only
-    /// contention changes.
-    pub fn with_shards(clock: VirtualClock, shards: usize) -> Self {
         ObjectStore {
             inner: Arc::new(StoreInner {
                 presign_secret: next_presign_secret(),
@@ -226,41 +201,29 @@ impl ObjectStore {
                 state: RwLock::new(StoreState {
                     buckets: BTreeMap::new(),
                 }),
-                arena: ChunkArena::new(shards),
+                arena: ChunkArena::default(),
                 counters: RwLock::new(Counters::default()),
                 faults: std::sync::atomic::AtomicU64::new(0),
                 injector: RwLock::new(None),
                 executor: RwLock::new(Executor::sequential()),
                 wal: RwLock::new(None),
-                chunk_wals: RwLock::new(Vec::new()),
             }),
         }
     }
 
-    /// Number of chunk-arena lock domains.
-    pub fn shard_count(&self) -> usize {
-        self.inner.arena.shard_count()
-    }
-
-    /// Resident chunks per arena shard (telemetry gauge).
-    pub fn shard_chunk_counts(&self) -> Vec<u64> {
-        self.inner.arena.shard_chunk_counts()
-    }
-
-    /// Cumulative microseconds spent waiting on contended arena shard
-    /// locks — a host fact (never fingerprinted), like `ExecStats`.
+    /// Cumulative microseconds spent waiting on the contended arena
+    /// lock — a host fact (never fingerprinted), like `ExecStats`.
     pub fn lock_wait_micros(&self) -> u64 {
         self.inner.arena.lock_wait_micros()
     }
 
-    /// Exclusive (write) acquisitions of the arena's shard locks — a
-    /// host fact used to audit that pure presence reads stay off the
-    /// write path (DESIGN.md §17).
+    /// Exclusive (write) acquisitions of the arena lock — a host fact
+    /// used to audit that pure presence reads stay off the write path.
     pub fn arena_write_acquisitions(&self) -> u64 {
         self.inner.arena.write_acquisitions()
     }
 
-    /// Shared (read) acquisitions of the arena's shard locks — the
+    /// Shared (read) acquisitions of the arena lock — the
     /// counterpart audit counter to
     /// [`ObjectStore::arena_write_acquisitions`].
     pub fn arena_read_acquisitions(&self) -> u64 {
@@ -333,20 +296,17 @@ impl ObjectStore {
         }
     }
 
-    /// Take one arena reference per manifest chunk, atomically: every
-    /// shard a referenced (or provided) chunk hashes into is locked —
-    /// in ascending index order — for the whole
-    /// verify-then-retain sequence, so an admission either fully
-    /// happens or (on [`StoreError::MissingChunks`] /
-    /// [`StoreError::DeltaMismatch`]) changes nothing.
+    /// Take one arena reference per manifest chunk, atomically: the
+    /// arena is locked for the whole verify-then-retain sequence, so an
+    /// admission either fully happens or (on
+    /// [`StoreError::MissingChunks`] / [`StoreError::DeltaMismatch`])
+    /// changes nothing.
     ///
     /// `verify` runs the delta-protocol checks (hash of non-resident
     /// provided bytes, lengths vs the manifest, residency of every
-    /// reference); chunker-produced puts skip them. In sharded-durable
-    /// mode each newly admitted chunk is journaled as a
-    /// [`StoreRecord::ChunkInstall`] to its shard's log *under that
-    /// shard's lock*; otherwise (when `collect_new`) the new bytes are
-    /// returned, in manifest order, for the caller's `Put` record.
+    /// reference); chunker-produced puts skip them. When `collect_new`,
+    /// the newly admitted bytes are returned, in manifest order, for
+    /// the caller's `Put` record.
     fn admit(
         &self,
         manifest: &ChunkManifest,
@@ -356,28 +316,13 @@ impl ObjectStore {
         verify: bool,
         collect_new: bool,
     ) -> Result<Vec<(u64, Bytes)>, StoreError> {
-        let arena = &self.inner.arena;
-        let chunk_wals = self.inner.chunk_wals.read();
-        let mut shards: Vec<usize> = manifest
-            .chunks
-            .iter()
-            .map(|r| arena.shard_of(r.digest))
-            .chain(provided.iter().map(|c| arena.shard_of(c.digest)))
-            .collect();
-        shards.sort_unstable();
-        shards.dedup();
-        let mut guards = arena.lock_many(shards);
-        let shard_ids: Vec<usize> = guards.iter().map(|(s, _)| *s).collect();
-        let idx_of = |shard: usize| {
-            shard_ids.binary_search(&shard).expect("every involved shard is locked")
-        };
-
+        let mut arena = self.inner.arena.lock();
         if verify {
             for (i, c) in provided.iter().enumerate() {
                 // Only hash-verify bytes that would actually be
                 // admitted; resident chunks dedup against the stored
                 // copy and their provided bytes are never written.
-                if !guards[idx_of(arena.shard_of(c.digest))].1.contains(c.digest) {
+                if !arena.contains(c.digest) {
                     let actual = match pre_hashed {
                         Some(h) => h[i],
                         None => fnv::hash(&c.data),
@@ -404,10 +349,7 @@ impl ObjectStore {
                 .chunks
                 .iter()
                 .map(|r| r.digest)
-                .filter(|d| {
-                    !by_digest.contains_key(d)
-                        && !guards[idx_of(arena.shard_of(*d))].1.contains(*d)
-                })
+                .filter(|d| !by_digest.contains_key(d) && !arena.contains(*d))
                 .collect();
             if !missing.is_empty() {
                 return Err(StoreError::MissingChunks { missing });
@@ -416,21 +358,13 @@ impl ObjectStore {
 
         let mut new_chunks: Vec<(u64, Bytes)> = Vec::new();
         for r in &manifest.chunks {
-            let shard = arena.shard_of(r.digest);
-            let hit = guards[idx_of(shard)]
-                .1
+            let hit = arena
                 .retain(r.digest, by_digest.get(&r.digest).copied())
                 .expect("availability verified by caller or protocol");
-            if !hit {
+            if !hit && collect_new {
                 let data =
                     (*by_digest.get(&r.digest).expect("new chunk was provided")).clone();
-                if let Some(w) = chunk_wals.get(shard) {
-                    w.append(
-                        &StoreRecord::ChunkInstall { digest: r.digest, bytes: data }.encode(),
-                    );
-                } else if collect_new {
-                    new_chunks.push((r.digest, data));
-                }
+                new_chunks.push((r.digest, data));
             }
         }
         Ok(new_chunks)
@@ -440,24 +374,11 @@ impl ObjectStore {
     /// with the state write lock held — releases are serialized under
     /// it so concurrent readers can assemble resident manifests safely
     /// (see [`StoreState`]).
-    fn release_manifest(&self, manifest: &ChunkManifest, replay: bool) {
-        let arena = &self.inner.arena;
+    fn release_manifest(&self, manifest: &ChunkManifest) {
+        let mut arena = self.inner.arena.lock();
         for r in &manifest.chunks {
-            let mut g = arena.lock(arena.shard_of(r.digest));
-            if replay {
-                g.release_replay(r.digest);
-            } else {
-                g.release(r.digest);
-            }
+            arena.release(r.digest);
         }
-    }
-
-    /// Whether the legacy single-log layout is active: a WAL is
-    /// attached with no per-shard chunk logs, so chunk bytes must ride
-    /// `Put` records and puts must serialize under the state lock
-    /// (admission order and main-log order must agree for replay).
-    fn legacy_log_layout(&self) -> bool {
-        self.inner.wal.read().is_some() && self.inner.chunk_wals.read().is_empty()
     }
 
     /// Upload (or overwrite) an object from a whole payload; returns
@@ -498,11 +419,9 @@ impl ObjectStore {
         Ok(etag)
     }
 
-    /// The shared admit → journal → install tail of `put`/`put_delta`.
-    /// In the legacy single-log layout the whole sequence holds the
-    /// state write lock (admission order must match log order); in
-    /// sharded or log-free mode only the install does, and admissions
-    /// on disjoint digest prefixes run concurrently.
+    /// The shared admit → journal → install tail of `put`/`put_delta`,
+    /// all under the state write lock so admission order matches log
+    /// order.
     #[allow(clippy::too_many_arguments)]
     fn commit_put(
         &self,
@@ -517,25 +436,12 @@ impl ObjectStore {
         wire_bytes: u64,
     ) -> Result<(), StoreError> {
         let wal = self.inner.wal.read().clone();
-        let (new_chunks, mut state) = if self.legacy_log_layout() {
-            let state = self.inner.state.write();
-            if !state.buckets.contains_key(bucket) {
-                return Err(StoreError::NoSuchBucket(bucket.to_string()));
-            }
-            let new =
-                self.admit(manifest, by_digest, provided, pre_hashed, delta, wal.is_some())?;
-            (new, state)
-        } else {
-            if !self.inner.state.read().buckets.contains_key(bucket) {
-                return Err(StoreError::NoSuchBucket(bucket.to_string()));
-            }
-            // Buckets are monotonic (no deletion API), so the check
-            // above stays valid without holding the lock across the
-            // admission.
-            let new =
-                self.admit(manifest, by_digest, provided, pre_hashed, delta, wal.is_some())?;
-            (new, self.inner.state.write())
-        };
+        let mut state = self.inner.state.write();
+        if !state.buckets.contains_key(bucket) {
+            return Err(StoreError::NoSuchBucket(bucket.to_string()));
+        }
+        let new_chunks =
+            self.admit(manifest, by_digest, provided, pre_hashed, delta, wal.is_some())?;
         let now = self.inner.clock.now();
         if let Some(w) = &wal {
             w.append(
@@ -561,15 +467,15 @@ impl ObjectStore {
     /// delta-upload protocol; it is a metadata round trip and subject
     /// to the same transient faults as data reads.
     ///
-    /// Pure presence checks answer from the shard *read* locks: many
-    /// concurrent `has_chunks` probes (and `put_delta` validations)
-    /// share each shard without excluding one another, and never stall
-    /// behind this call.
+    /// Pure presence checks answer from the arena's *read* lock: many
+    /// concurrent `has_chunks` probes share it without excluding one
+    /// another.
     pub fn has_chunks(&self, digests: &[u64]) -> Result<Vec<bool>, StoreError> {
         if self.take_fault() || self.injected_fault(rai_faults::FaultKind::StoreGet) {
             return Err(StoreError::Unavailable);
         }
-        Ok(digests.iter().map(|&d| self.inner.arena.contains(d)).collect())
+        let arena = self.inner.arena.read();
+        Ok(digests.iter().map(|&d| arena.contains(d)).collect())
     }
 
     /// Upload (or overwrite) an object as a manifest plus only the
@@ -676,7 +582,7 @@ impl ObjectStore {
             // New references were taken by `admit` before this release,
             // so an overwrite never frees chunks the new manifest
             // shares with the old.
-            self.release_manifest(&prev.manifest, false);
+            self.release_manifest(&prev.manifest);
         }
     }
 
@@ -702,9 +608,10 @@ impl ObjectStore {
         // Assembling while holding the state write lock is what makes
         // this safe: all chunk releases serialize under it, so every
         // chunk this resident manifest references stays resident.
-        let arena = &self.inner.arena;
-        let data = assemble(&rec.manifest, |d| arena.lock(arena.shard_of(d)).data(d))
+        let arena = self.inner.arena.read();
+        let data = assemble(&rec.manifest, |d| arena.data(d))
             .expect("resident manifests always resolve");
+        drop(arena);
         let out = StoredObject {
             meta: rec.meta.clone(),
             data: Bytes::from(data),
@@ -757,7 +664,7 @@ impl ObjectStore {
             bucket: bucket.to_string(),
             key: key.to_string(),
         })?;
-        self.release_manifest(&rec.manifest, false);
+        self.release_manifest(&rec.manifest);
         if let Some(w) = &wal {
             w.append(
                 &StoreRecord::Delete { bucket: bucket.to_string(), key: key.to_string() }
@@ -866,7 +773,7 @@ impl ObjectStore {
             }
         }
         for manifest in &released {
-            self.release_manifest(manifest, false);
+            self.release_manifest(manifest);
         }
         // A sweep that expired nothing is a no-op at any replay time
         // and is not journaled; one that did is replayed at its
@@ -919,176 +826,75 @@ impl ObjectStore {
 
     // ---- durability --------------------------------------------------
 
-    /// Attach a write-ahead log in the legacy single-log layout (chunk
-    /// bytes ride `Put` records): every committed mutation from here
-    /// on is journaled. Attach before the first mutation — the log
-    /// must cover the store's whole history (or start from a
-    /// snapshot).
+    /// Attach a write-ahead log (chunk bytes ride `Put` records):
+    /// every committed mutation from here on is journaled. Attach
+    /// before the first mutation — the log must cover the store's
+    /// whole history (or start from a snapshot).
     pub fn attach_wal(&self, wal: Wal) {
-        self.attach_logs(wal, Vec::new());
+        *self.inner.wal.write() = Some(wal);
     }
 
-    /// Attach the sharded-durable log streams: a main object log plus
-    /// one chunk log per arena shard (or none, for the legacy layout).
-    /// Newly admitted chunk bytes go to their shard's log; `Put`
-    /// records in the main log then carry no bytes.
-    pub fn attach_logs(&self, main: Wal, chunk_wals: Vec<Wal>) {
-        assert!(
-            chunk_wals.is_empty() || chunk_wals.len() == self.inner.arena.shard_count(),
-            "one chunk log per arena shard"
-        );
-        *self.inner.wal.write() = Some(main);
-        *self.inner.chunk_wals.write() = chunk_wals;
-    }
-
-    /// The attached main WAL, if any.
+    /// The attached WAL, if any.
     pub fn wal(&self) -> Option<Wal> {
         self.inner.wal.read().clone()
     }
 
-    /// The attached per-shard chunk logs (empty in the legacy layout).
+    /// Per-shard chunk logs: always empty. The store journals into one
+    /// log ([`ObjectStore::wal`]); this accessor stays so callers that
+    /// sum WAL statistics over `wal().into_iter().chain(chunk_wals())`
+    /// keep building unchanged.
     pub fn chunk_wals(&self) -> Vec<Wal> {
-        self.inner.chunk_wals.read().clone()
+        Vec::new()
     }
 
-    /// Force the attached logs' buffered appends to stable storage
-    /// (durability point). Chunk logs sync before the main log so a
-    /// crash between the two can lose an admitted chunk's `Put`, but
-    /// never a synced `Put`'s chunk bytes... except when the tear
-    /// itself lands on a chunk lane, which replay handles by dropping
-    /// (and counting) the unreadable object. No-op without a WAL.
+    /// Force the attached log's buffered appends to stable storage
+    /// (durability point). No-op without a WAL.
     pub fn sync_wal(&self) {
-        for w in self.inner.chunk_wals.read().iter() {
-            w.sync();
-        }
         if let Some(w) = self.inner.wal.read().as_ref() {
             w.sync();
         }
     }
 
-    /// Open a store's log streams over one backend, per the arena
-    /// shard count. At `shards == 1` the backend carries the single
-    /// legacy log byte-for-byte (no striping, no chunk lanes); at
-    /// `shards > 1` the backend's segment-id space is striped into
-    /// `shards + 1` interleaved lanes — lane 0 the main object log,
-    /// lanes `1..=shards` one chunk log per arena shard — so drivers
-    /// keep provisioning exactly one store log either way.
-    pub fn open_store_logs(
-        backend: Arc<dyn LogBackend>,
-        config: DurabilityConfig,
-        shards: usize,
-    ) -> (Wal, Vec<Wal>) {
-        if shards <= 1 {
-            return (Wal::open(backend, config), Vec::new());
-        }
-        let stride = shards as u64 + 1;
-        let main = Wal::open(
-            Arc::new(StripedBackend::new(backend.clone(), 0, stride)),
-            config,
-        );
-        let chunks = (0..shards)
-            .map(|i| {
-                Wal::open(
-                    Arc::new(StripedBackend::new(backend.clone(), i as u64 + 1, stride)),
-                    config,
-                )
-            })
-            .collect();
-        (main, chunks)
-    }
-
     /// Rebuild a store from `wal`, then attach the log to the rebuilt
     /// store so it keeps journaling. Corrupt WAL records were already
-    /// dropped by the framing layer; logically-malformed payloads and
-    /// objects whose chunk bytes were lost with a dropped record are
-    /// counted in the returned [`StoreRecovery`] — replay never
-    /// panics and never installs an unreadable object.
+    /// dropped by the framing layer; logically-malformed payloads
+    /// (unknown record tags included) and objects whose chunk bytes
+    /// were lost with a dropped record are counted in the returned
+    /// [`StoreRecovery`] — replay never panics and never installs an
+    /// unreadable object.
     pub fn recover(clock: VirtualClock, wal: Wal) -> (ObjectStore, StoreRecovery) {
-        Self::recover_sharded(clock, wal, Vec::new())
-    }
-
-    /// Rebuild a sharded-durable store: one chunk log per arena shard
-    /// plus the main object log. The arena shard count is implied by
-    /// the lane count (`chunk_wals.len()`, or 1 when empty — the
-    /// legacy layout).
-    ///
-    /// Replay runs in two phases. Phase 1 restores every lane's
-    /// [`StoreRecord::ChunkInstall`] bytes at refcount zero; phase 2
-    /// replays the main log, re-deriving each put's dedup outcome from
-    /// the refcount (see `ChunkStore::retain_replay`) so the rebuilt
-    /// state is byte-identical regardless of how installs interleaved
-    /// across lanes. Chunks left unreferenced at the end — orphaned by
-    /// dropped objects or freed before the crash — are pruned.
-    pub fn recover_sharded(
-        clock: VirtualClock,
-        main: Wal,
-        chunk_wals: Vec<Wal>,
-    ) -> (ObjectStore, StoreRecovery) {
-        fn add(into: &mut rai_wal::ReplayStats, s: rai_wal::ReplayStats) {
-            into.replayed += s.replayed;
-            into.corrupt_dropped += s.corrupt_dropped;
-            into.torn_bytes += s.torn_bytes;
-        }
-        let store = ObjectStore::with_shards(clock, chunk_wals.len().max(1));
-        let sharded = !chunk_wals.is_empty();
+        let store = ObjectStore::new(clock);
         let mut recovery = StoreRecovery::default();
-        // Phase 1: restore the chunk lanes. Lane `i` holds exactly
-        // shard `i`'s admissions in admission order; a record lost to
-        // a torn lane tail surfaces in phase 2 as an unresolvable
-        // object (dropped, counted), never as a panic.
-        for (i, wal) in chunk_wals.iter().enumerate() {
-            let replay = wal.replay();
-            add(&mut recovery.stats, replay.stats);
-            let mut shard = store.inner.arena.lock(i);
-            for payload in &replay.records {
-                match StoreRecord::decode(payload) {
-                    Some(StoreRecord::ChunkInstall { digest, bytes }) => {
-                        shard.restore_chunk(digest, bytes);
-                        recovery.applied += 1;
-                    }
-                    _ => recovery.malformed_dropped += 1,
-                }
-            }
-        }
-        // Phase 2: the main object log.
-        let replay = main.replay();
-        add(&mut recovery.stats, replay.stats);
+        let replay = wal.replay();
+        recovery.stats = replay.stats;
         {
             let mut state = store.inner.state.write();
             let mut counters = store.inner.counters.write();
             for payload in &replay.records {
                 match StoreRecord::decode(payload) {
                     Some(rec) => {
-                        recovery.objects_dropped +=
-                            store.apply(&mut state, &mut counters, rec, sharded);
+                        recovery.objects_dropped += store.apply(&mut state, &mut counters, rec);
                         recovery.applied += 1;
                     }
                     None => recovery.malformed_dropped += 1,
                 }
             }
         }
-        // Chunks no surviving manifest references (snapshot leftovers,
-        // dropped objects, frees before the crash) would otherwise
-        // linger with a zero refcount.
-        store.inner.arena.prune_unreferenced();
-        store.attach_logs(main, chunk_wals);
+        // Chunks no surviving manifest references (dropped objects in a
+        // snapshot) would otherwise linger with a zero refcount.
+        store.inner.arena.lock().prune_unreferenced();
+        store.attach_wal(wal);
         (store, recovery)
     }
 
     /// Apply one journaled mutation during replay. Returns how many
-    /// objects were dropped (chunk bytes unavailable). `sharded` picks
-    /// the chunk-reference semantics: chunk bytes pre-restored from
-    /// per-shard lanes (refcounts re-derived in place, releases keep
-    /// bytes) versus the legacy layout where bytes ride the `Put`
-    /// records themselves.
+    /// objects were dropped (chunk bytes unavailable).
     fn apply(
         &self,
         state: &mut StoreState,
         counters: &mut Counters,
         rec: StoreRecord,
-        sharded: bool,
     ) -> u64 {
-        let arena = &self.inner.arena;
         match rec {
             StoreRecord::CreateBucket { name, rule } => {
                 state
@@ -1122,6 +928,7 @@ impl ObjectStore {
                 // means the bytes rode a WAL record that was dropped
                 // as corrupt — the object is unreadable and must not
                 // be installed.
+                let mut arena = self.inner.arena.lock();
                 let resolvable = state.buckets.contains_key(&bucket)
                     && manifest
                         .chunks
@@ -1131,25 +938,11 @@ impl ObjectStore {
                     return 1;
                 }
                 for r in &manifest.chunks {
-                    let mut shard = arena.lock(arena.shard_of(r.digest));
-                    if sharded {
-                        // Bytes normally live in the shard's lane
-                        // already; a record that carried its own bytes
-                        // (mixed-layout log) installs them first.
-                        if !shard.contains(r.digest) {
-                            if let Some(data) = by_digest.get(&r.digest) {
-                                shard.restore_chunk(r.digest, data.clone());
-                            }
-                        }
-                        shard
-                            .retain_replay(r.digest)
-                            .expect("availability verified above");
-                    } else {
-                        shard
-                            .retain(r.digest, by_digest.get(&r.digest))
-                            .expect("availability verified above");
-                    }
+                    arena
+                        .retain(r.digest, by_digest.get(&r.digest))
+                        .expect("availability verified above");
                 }
+                drop(arena);
                 let now = SimTime::from_millis(time_millis);
                 let record = ObjRecord {
                     meta: ObjectMeta {
@@ -1165,7 +958,7 @@ impl ObjectStore {
                 let b = state.buckets.get_mut(&bucket).expect("existence checked above");
                 let prev = b.objects.insert(key, record);
                 if let Some(prev) = prev {
-                    self.release_manifest(&prev.manifest, sharded);
+                    self.release_manifest(&prev.manifest);
                 }
                 0
             }
@@ -1186,7 +979,7 @@ impl ObjectStore {
                 if let Some(rec) =
                     state.buckets.get_mut(&bucket).and_then(|b| b.objects.remove(&key))
                 {
-                    self.release_manifest(&rec.manifest, sharded);
+                    self.release_manifest(&rec.manifest);
                 }
                 0
             }
@@ -1210,30 +1003,17 @@ impl ObjectStore {
                     }
                 }
                 for m in &released {
-                    self.release_manifest(m, sharded);
+                    self.release_manifest(m);
                 }
-                0
-            }
-            StoreRecord::ChunkInstall { digest, bytes } => {
-                // Chunk installs belong to the per-shard lanes; one in
-                // the main log (mixed-layout history) still restores.
-                arena.lock(arena.shard_of(digest)).restore_chunk(digest, bytes);
                 0
             }
             StoreRecord::SnapshotStore { buckets, chunks, counters: snap } => {
                 let mut dropped = 0u64;
                 state.buckets.clear();
-                if sharded {
-                    // The physical payload was already restored from
-                    // the chunk lanes in phase 1; discard whatever
-                    // references pre-snapshot replay accumulated and
-                    // re-derive them from the snapshot's manifests.
-                    arena.reset_refs();
-                } else {
-                    arena.wipe();
-                }
+                let mut arena = self.inner.arena.lock();
+                *arena = ChunkStore::new();
                 for (digest, data) in chunks {
-                    arena.lock(arena.shard_of(digest)).restore_chunk(digest, data);
+                    arena.restore_chunk(digest, data);
                 }
                 for b in buckets {
                     let mut objects = BTreeMap::new();
@@ -1245,7 +1025,7 @@ impl ObjectStore {
                             continue;
                         }
                         for r in &o.manifest.chunks {
-                            arena.lock(arena.shard_of(r.digest)).ref_existing(r.digest);
+                            arena.ref_existing(r.digest);
                         }
                         objects.insert(
                             o.meta.key.clone(),
@@ -1256,7 +1036,7 @@ impl ObjectStore {
                         .buckets
                         .insert(b.name, BucketState { rule: b.rule, objects });
                 }
-                arena.set_dedup_hits_total(snap.dedup_hits);
+                arena.set_dedup_hits(snap.dedup_hits);
                 *counters = Counters {
                     bytes_uploaded: snap.bytes_uploaded,
                     bytes_downloaded: snap.bytes_downloaded,
@@ -1272,39 +1052,24 @@ impl ObjectStore {
         }
     }
 
-    /// Compact the attached logs into snapshot records if any log's
-    /// size warrants it (per [`rai_wal::DurabilityConfig`]). All lanes
-    /// compact together — a snapshot is one consistent point, and the
-    /// main-log snapshot's manifests must resolve against exactly the
-    /// chunk set the lanes retain. Call only at quiesced points — the
-    /// snapshot must not interleave with concurrent mutations. Returns
-    /// whether a compaction ran.
+    /// Compact the attached log into one snapshot record if its size
+    /// warrants it (per [`rai_wal::DurabilityConfig`]). The snapshot
+    /// carries the physical payload, digest-sorted. Call only at
+    /// quiesced points — the snapshot must not interleave with
+    /// concurrent mutations. Returns whether a compaction ran.
     pub fn maybe_compact(&self) -> bool {
         let Some(wal) = self.inner.wal.read().clone() else {
             return false;
         };
-        let chunk_wals = self.inner.chunk_wals.read().clone();
-        if !wal.should_compact() && !chunk_wals.iter().any(|w| w.should_compact()) {
+        if !wal.should_compact() {
             return false;
         }
         let state = self.inner.state.read();
         let counters = self.inner.counters.read();
-        let arena = &self.inner.arena;
-        // Legacy layout: the snapshot record itself carries the
-        // physical payload, digest-sorted (shard partitioning keeps
-        // per-shard maps sorted; the merge just re-sorts the
-        // concatenation). Sharded: the lanes carry it instead.
-        let snap_chunks: Vec<(u64, Bytes)> = if chunk_wals.is_empty() {
-            let mut all: Vec<(u64, Bytes)> = Vec::new();
-            for i in 0..arena.shard_count() {
-                all.extend(arena.lock(i).snapshot_chunks());
-            }
-            all.sort_by_key(|&(d, _)| d);
-            all
-        } else {
-            Vec::new()
-        };
-        let (_, _, dedup_hits) = arena.totals();
+        let arena = self.inner.arena.read();
+        let snap_chunks = arena.snapshot_chunks();
+        let dedup_hits = arena.dedup_hits();
+        drop(arena);
         let snapshot = StoreRecord::SnapshotStore {
             buckets: state
                 .buckets
@@ -1336,12 +1101,6 @@ impl ObjectStore {
             },
         };
         wal.compact(std::iter::once(snapshot.encode()));
-        for (i, cw) in chunk_wals.iter().enumerate() {
-            let resident = arena.lock(i).snapshot_chunks();
-            cw.compact(resident.into_iter().map(|(digest, bytes)| {
-                StoreRecord::ChunkInstall { digest, bytes }.encode()
-            }));
-        }
         true
     }
 }
@@ -1931,73 +1690,27 @@ mod tests {
         assert_eq!(r.get("keep", "fresh").unwrap().data.as_ref(), b"ok");
     }
 
-    // ---- sharded arena and sharded-durable layout --------------------
-
-    fn store_with_shards(shards: usize) -> ObjectStore {
-        let s = ObjectStore::with_shards(VirtualClock::new(), shards);
-        s.create_bucket("uploads", LifecycleRule::one_month_after_last_use())
-            .unwrap();
-        s.create_bucket("builds", LifecycleRule::AfterUpload(SimDuration::from_days(90)))
-            .unwrap();
-        s.create_bucket("keep", LifecycleRule::Keep).unwrap();
-        s
-    }
-
-    /// A workload exercising every chunk-lifecycle transition replay
-    /// must reproduce: dedup'd delta puts, overwrites, deletes, expiry,
-    /// and — the subtle one — content re-admitted after its last
-    /// reference died (live, the bytes are freed and re-uploaded; in
-    /// sharded replay they stay resident at refcount zero).
-    fn sharded_workload(s: &ObjectStore) {
-        let payload = varied(5000, 77);
-        s.put("uploads", "team/proj.tar", payload.clone(), []).unwrap();
-        let (manifest, chunks) = chunk_bytes(&payload, ChunkerParams::DEFAULT);
-        s.put_delta("keep", "copy", &manifest, &chunks, []).unwrap();
-        for i in 0..8u64 {
-            s.put("builds", &format!("b{i}"), varied(1500 + i as usize * 37, i), [])
-                .unwrap();
-        }
-        s.put("builds", "b3", varied(900, 103), []).unwrap(); // overwrite
-        s.delete("keep", "copy").unwrap();
-        s.delete("uploads", "team/proj.tar").unwrap();
-        s.put("keep", "reborn", payload, []).unwrap();
-        s.clock().advance(SimDuration::from_days(95));
-        s.sweep_lifecycle();
-    }
-
-    fn durable_sharded(shards: usize) -> (ObjectStore, rai_wal::MemDisk) {
-        let disk = rai_wal::MemDisk::new();
-        let (main, lanes) = ObjectStore::open_store_logs(
-            Arc::new(disk.clone()),
-            rai_wal::DurabilityConfig::durable(),
-            shards,
-        );
-        let s = ObjectStore::with_shards(VirtualClock::new(), shards);
-        s.attach_logs(main, lanes);
-        s.create_bucket("uploads", LifecycleRule::one_month_after_last_use())
-            .unwrap();
-        s.create_bucket("builds", LifecycleRule::AfterUpload(SimDuration::from_days(90)))
-            .unwrap();
-        s.create_bucket("keep", LifecycleRule::Keep).unwrap();
-        (s, disk)
-    }
-
-    fn reopen_sharded(
-        disk: &rai_wal::MemDisk,
-        shards: usize,
-        clock: VirtualClock,
-    ) -> (ObjectStore, StoreRecovery) {
-        let (main, lanes) = ObjectStore::open_store_logs(
-            Arc::new(disk.clone()),
-            rai_wal::DurabilityConfig::durable(),
-            shards,
-        );
-        ObjectStore::recover_sharded(clock, main, lanes)
+    #[test]
+    fn unknown_record_tag_replays_as_malformed() {
+        let (s, disk) = durable_store(rai_wal::DurabilityConfig::durable());
+        s.put("keep", "before", &b"one"[..], []).unwrap();
+        // A record under an unassigned tag (7 once carried per-shard
+        // chunk installs) between two valid puts.
+        let mut unknown = vec![7u8];
+        unknown.extend_from_slice(&0xFEED_FACEu64.to_le_bytes());
+        s.wal().unwrap().append(&unknown);
+        s.put("keep", "after", &b"two"[..], []).unwrap();
+        s.sync_wal();
+        let (r, recovery) = reopen(&disk, VirtualClock::new());
+        assert_eq!(recovery.malformed_dropped, 1);
+        assert_eq!(recovery.objects_dropped, 0);
+        assert_eq!(r.get("keep", "before").unwrap().data.as_ref(), b"one");
+        assert_eq!(r.get("keep", "after").unwrap().data.as_ref(), b"two");
     }
 
     #[test]
     fn presence_reads_take_no_write_locks() {
-        let s = store_with_shards(4);
+        let s = store();
         let payload = varied(5000, 7);
         s.put("uploads", "team/proj.tar", payload.clone(), []).unwrap();
         let (manifest, _) = chunk_bytes(&payload, ChunkerParams::DEFAULT);
@@ -2011,125 +1724,13 @@ mod tests {
         assert_eq!(
             s.inner.arena.write_acquisitions(),
             writes_before,
-            "presence checks must never take an exclusive shard lock"
+            "presence checks must never take the exclusive arena lock"
         );
         assert_eq!(
             s.inner.arena.read_acquisitions(),
-            reads_before + digests.len() as u64,
-            "each probe costs exactly one shared-guard acquisition"
+            reads_before + 1,
+            "one probe batch costs exactly one shared-guard acquisition"
         );
-    }
-
-    #[test]
-    fn sharded_arena_matches_single_lock_reference() {
-        let run = |shards: usize| {
-            let s = store_with_shards(shards);
-            sharded_workload(&s);
-            (fingerprint(&s), s.get("keep", "reborn").unwrap().data)
-        };
-        let reference = run(1);
-        for shards in [4, 16] {
-            assert_eq!(run(shards), reference, "shards={shards} must be observationally identical");
-        }
-        // The occupancy gauge partitions the resident set exactly.
-        let s = store_with_shards(4);
-        sharded_workload(&s);
-        let counts = s.shard_chunk_counts();
-        assert_eq!(counts.len(), 4);
-        assert_eq!(counts.iter().sum::<u64>(), s.usage().chunks);
-    }
-
-    #[test]
-    fn sharded_durable_recovery_round_trip() {
-        let (s, disk) = durable_sharded(4);
-        sharded_workload(&s);
-        s.sync_wal();
-        let clock = VirtualClock::new();
-        clock.advance(SimDuration::from_days(95));
-        let (r, recovery) = reopen_sharded(&disk, 4, clock);
-        assert_eq!(recovery.stats.corrupt_dropped, 0);
-        assert_eq!(recovery.malformed_dropped, 0);
-        assert_eq!(recovery.objects_dropped, 0);
-        assert_eq!(fingerprint(&r), fingerprint(&s), "per-shard replay must be exact");
-        // ...and byte-identical to the legacy single-log reference run
-        // (compared before any reads — gets are journaled and counted).
-        let (legacy, _) = durable_store(rai_wal::DurabilityConfig::durable());
-        sharded_workload(&legacy);
-        assert_eq!(fingerprint(&r), fingerprint(&legacy));
-        // Read through `r` only: `s` still journals into the same
-        // disk, and a stray Touch would double-count on the reopen.
-        assert_eq!(r.get("keep", "reborn").unwrap().data.as_ref(), &varied(5000, 77)[..]);
-        // The recovered store keeps journaling into its lanes.
-        r.put("keep", "after", &b"post-recovery"[..], []).unwrap();
-        r.sync_wal();
-        let (r2, _) = reopen_sharded(&disk, 4, VirtualClock::new());
-        assert_eq!(fingerprint(&r2), fingerprint(&r));
-        assert_eq!(r2.get("keep", "after").unwrap().data.as_ref(), b"post-recovery");
-    }
-
-    #[test]
-    fn sharded_compaction_compacts_all_lanes_together() {
-        let disk = rai_wal::MemDisk::new();
-        let config = rai_wal::DurabilityConfig {
-            compact_min_bytes: 1,
-            compact_factor: 2,
-            ..rai_wal::DurabilityConfig::durable()
-        };
-        let (main, lanes) = ObjectStore::open_store_logs(Arc::new(disk.clone()), config, 4);
-        let s = ObjectStore::with_shards(VirtualClock::new(), 4);
-        s.attach_logs(main, lanes);
-        s.create_bucket("keep", LifecycleRule::Keep).unwrap();
-        for i in 0..50u64 {
-            s.put("keep", "hot", varied(1200, i), []).unwrap();
-        }
-        s.sync_wal();
-        let before = disk.total_bytes();
-        assert!(s.maybe_compact(), "50 dead overwrites must trip the threshold");
-        let after = disk.total_bytes();
-        assert!(
-            after * 4 < before,
-            "snapshot + resident lane chunks should be far smaller ({after} vs {before})"
-        );
-        let (r, recovery) = reopen_sharded(&disk, 4, VirtualClock::new());
-        assert_eq!(recovery.objects_dropped, 0);
-        assert_eq!(fingerprint(&r), fingerprint(&s));
-        assert_eq!(r.get("keep", "hot").unwrap().data, s.get("keep", "hot").unwrap().data);
-    }
-
-    #[test]
-    fn sharded_torn_lane_loses_only_unsynced_objects() {
-        let (s, disk) = durable_sharded(4);
-        let a = varied(2000, 31);
-        s.put("keep", "synced", a.clone(), []).unwrap();
-        s.sync_wal();
-        s.put("keep", "unsynced", varied(2000, 32), []).unwrap();
-        let profile = rai_faults::DiskFaultProfile {
-            torn_tail: 1.0,
-            ..rai_faults::DiskFaultProfile::none(9)
-        };
-        let faults = disk.crash_with(&profile, 0);
-        assert!(!faults.is_empty(), "profile guarantees a torn tail");
-        // The tear lands in whichever lane owns the highest physical
-        // segment — possibly a chunk lane (Put resolves nothing and is
-        // dropped) or the main lane (the Put itself is lost). Either
-        // way the synced object survives and nothing half-exists.
-        let (r, recovery) = reopen_sharded(&disk, 4, VirtualClock::new());
-        assert!(
-            recovery.stats.torn_bytes > 0 || recovery.stats.corrupt_dropped > 0,
-            "the tear must be detected, not silently accepted"
-        );
-        assert_eq!(
-            r.get("keep", "synced").unwrap().data.as_ref(),
-            &a[..],
-            "synced object survives intact"
-        );
-        let objects = r.usage().objects;
-        assert!(objects == 1 || objects == 2, "unsynced put may or may not survive");
-        for meta in r.list("keep", "").unwrap() {
-            r.get("keep", &meta.key).unwrap();
-        }
-        let counts = r.shard_chunk_counts();
-        assert_eq!(counts.iter().sum::<u64>(), r.usage().chunks, "no orphaned chunks linger");
     }
 
     #[test]

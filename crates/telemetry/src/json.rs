@@ -163,9 +163,14 @@ fn render_string(s: &str, out: &mut String) {
     out.push('"');
 }
 
+/// Deepest array/object nesting [`parse`] accepts. Exposition
+/// documents nest a handful of levels; the bound turns hostile input
+/// into an ordinary [`ParseError`] instead of a stack overflow.
+pub const MAX_DEPTH: usize = 256;
+
 /// Parse a JSON document. Errors carry the byte offset they occurred at.
 pub fn parse(input: &str) -> Result<Value, ParseError> {
-    let mut parser = Parser { bytes: input.as_bytes(), pos: 0 };
+    let mut parser = Parser { bytes: input.as_bytes(), pos: 0, depth: 0 };
     parser.skip_ws();
     let value = parser.parse_value()?;
     parser.skip_ws();
@@ -191,6 +196,8 @@ impl std::fmt::Display for ParseError {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -219,8 +226,19 @@ impl<'a> Parser<'a> {
 
     fn parse_value(&mut self) -> Result<Value, ParseError> {
         match self.peek() {
-            Some(b'{') => self.parse_object(),
-            Some(b'[') => self.parse_array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth >= MAX_DEPTH {
+                    return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+                }
+                self.depth += 1;
+                let collection = if open == b'{' {
+                    self.parse_object()
+                } else {
+                    self.parse_array()
+                };
+                self.depth -= 1;
+                collection
+            }
             Some(b'"') => Ok(Value::String(self.parse_string()?)),
             Some(b't') => self.parse_keyword("true", Value::Bool(true)),
             Some(b'f') => self.parse_keyword("false", Value::Bool(false)),
@@ -416,5 +434,36 @@ mod tests {
     fn parses_scientific_notation() {
         let v = parse("1.5e3").expect("parses");
         assert_eq!(v.as_f64(), Some(1500.0));
+    }
+
+    /// Run `f` on a thread with a 2 MiB stack (the spawned-thread
+    /// default).
+    fn on_small_stack<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(f)
+            .expect("spawn parser thread")
+            .join()
+            .expect("parser must not panic")
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error() {
+        let depth = 100_000;
+        for src in [
+            format!("{}{}", "[".repeat(depth), "]".repeat(depth)),
+            "[".repeat(depth),
+            "{\"k\":".repeat(depth),
+        ] {
+            let err = on_small_stack(move || parse(&src)).unwrap_err();
+            assert!(err.message.contains("nesting deeper than"), "{err}");
+        }
+    }
+
+    #[test]
+    fn nesting_at_the_bound_parses() {
+        let src = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        let v = on_small_stack(move || parse(&src)).expect("within the bound");
+        assert!(v.as_array().is_some());
     }
 }

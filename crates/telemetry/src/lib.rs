@@ -79,10 +79,8 @@ pub mod names {
     pub const STORE_CHUNKS_DEDUP_TOTAL: &str = "rai_store_chunks_dedup_total";
     pub const STORE_BYTES_WIRE_TOTAL: &str = "rai_store_bytes_wire_total";
     pub const STORE_DELTA_PUTS_TOTAL: &str = "rai_store_delta_puts_total";
-    // Sharded lock-domain metrics (DESIGN.md §16).
+    // Contended wait on the store arena and broker dirty-list locks.
     pub const LOCK_WAIT_MICROS_TOTAL: &str = "rai_lock_wait_micros_total";
-    pub const STORE_SHARD_CHUNKS: &str = "rai_store_shard_chunks";
-    pub const DB_SHARD_DOCS: &str = "rai_db_shard_docs";
     pub const DB_INSERTS_TOTAL: &str = "rai_db_inserts_total";
     pub const DB_QUERIES_TOTAL: &str = "rai_db_queries_total";
     pub const DB_UPDATES_TOTAL: &str = "rai_db_updates_total";

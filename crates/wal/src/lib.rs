@@ -402,69 +402,6 @@ impl LogBackend for FileBackend {
     }
 }
 
-/// A view of every `stride`-th segment of an underlying backend,
-/// offset by `lane`: local segment id `i` maps to physical id
-/// `i * stride + lane`. Several [`Wal`]s can thereby share one physical
-/// log device (one directory, one [`MemDisk`]) without their segment
-/// ids colliding — `rai-store` stripes its main object log plus one
-/// chunk log per arena shard over the single store log its drivers
-/// provide, so sharding never changes the on-disk plumbing callers set
-/// up.
-///
-/// Each lane is an ordinary segment log: rotation, compaction, and
-/// replay of one lane never touch another lane's segments.
-pub struct StripedBackend {
-    inner: Arc<dyn LogBackend>,
-    lane: u64,
-    stride: u64,
-}
-
-impl StripedBackend {
-    /// View of `inner` owning segments `lane`, `lane + stride`,
-    /// `lane + 2*stride`, …
-    pub fn new(inner: Arc<dyn LogBackend>, lane: u64, stride: u64) -> Self {
-        assert!(stride > 0 && lane < stride, "lane must lie inside the stride");
-        StripedBackend { inner, lane, stride }
-    }
-
-    fn physical(&self, id: u64) -> u64 {
-        id * self.stride + self.lane
-    }
-}
-
-impl LogBackend for StripedBackend {
-    fn list_segments(&self) -> Vec<u64> {
-        // Inner ids are ascending and the mapping is monotonic, so the
-        // local ids come out ascending too.
-        self.inner
-            .list_segments()
-            .into_iter()
-            .filter(|id| id % self.stride == self.lane)
-            .map(|id| id / self.stride)
-            .collect()
-    }
-
-    fn segment_len(&self, id: u64) -> u64 {
-        self.inner.segment_len(self.physical(id))
-    }
-
-    fn read_segment(&self, id: u64) -> Vec<u8> {
-        self.inner.read_segment(self.physical(id))
-    }
-
-    fn append(&self, id: u64, bytes: &[u8]) {
-        self.inner.append(self.physical(id), bytes);
-    }
-
-    fn sync(&self, id: u64) {
-        self.inner.sync(self.physical(id));
-    }
-
-    fn remove_segment(&self, id: u64) {
-        self.inner.remove_segment(self.physical(id));
-    }
-}
-
 struct WalState {
     /// Id of the segment currently receiving appends.
     active: u64,
@@ -886,55 +823,6 @@ mod tests {
             assert_eq!(rec, format!("durable-{i}").as_bytes());
         }
         assert!(replay.records.len() < 20 || replay.stats.corrupt_dropped > 0);
-    }
-
-    #[test]
-    fn striped_lanes_are_independent_logs() {
-        let disk = MemDisk::new();
-        let inner: Arc<dyn LogBackend> = Arc::new(disk.clone());
-        let config = DurabilityConfig {
-            enabled: true,
-            segment_bytes: 64,
-            fsync_every: 1,
-            compact_min_bytes: 1,
-            compact_factor: 1,
-        };
-        let lanes: Vec<Wal> = (0..3)
-            .map(|lane| Wal::open(Arc::new(StripedBackend::new(inner.clone(), lane, 3)), config))
-            .collect();
-        for i in 0..30u64 {
-            lanes[(i % 3) as usize].append(format!("lane{}-{i}", i % 3).as_bytes());
-        }
-        // Each lane replays only its own records, in its own order.
-        for (l, wal) in lanes.iter().enumerate() {
-            let replay = wal.replay();
-            assert_eq!(replay.records.len(), 10);
-            for rec in &replay.records {
-                assert!(rec.starts_with(format!("lane{l}").as_bytes()), "lane isolation");
-            }
-            assert_eq!(replay.stats.corrupt_dropped, 0);
-        }
-        // Physical ids interleave with the configured stride.
-        for id in disk.list_segments() {
-            let lane = id % 3;
-            let bytes = disk.read_segment(id);
-            let mut records = Vec::new();
-            decode_segment(&bytes, &mut records, &mut ReplayStats::default());
-            for rec in records {
-                assert!(rec.starts_with(format!("lane{lane}").as_bytes()));
-            }
-        }
-        // Compacting one lane never touches another lane's segments.
-        let lane1_before = StripedBackend::new(inner.clone(), 1, 3).list_segments();
-        assert!(lanes[0].should_compact());
-        lanes[0].compact(vec![b"snap".to_vec()]);
-        assert_eq!(StripedBackend::new(inner.clone(), 1, 3).list_segments(), lane1_before);
-        let replay = lanes[0].replay();
-        assert_eq!(replay.records, vec![b"snap".to_vec()]);
-        // Reopening a lane starts its fresh segment past its own max.
-        let reopened = Wal::open(Arc::new(StripedBackend::new(inner.clone(), 2, 3)), config);
-        reopened.append(b"lane2-post");
-        assert_eq!(reopened.replay().records.len(), 11);
     }
 
     #[test]

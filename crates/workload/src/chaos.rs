@@ -45,18 +45,6 @@ pub struct ChaosConfig {
     /// by the round structure, not the pool — so chaos fingerprints
     /// are byte-identical at every setting (DESIGN.md §15).
     pub parallelism: usize,
-    /// Lock-domain shard count (1 = single-lock reference). Fault-plan
-    /// runs always commit on the single-lane reference schedule, so
-    /// sharding only repartitions arena/collection locks — chaos
-    /// fingerprints stay byte-identical (DESIGN.md §16).
-    pub shards: usize,
-    /// Claim-lane count (1 = serial claim reference). A fault plan
-    /// pins the claim phase to the serial reference schedule — the
-    /// injector's draw stream is ordering-visible — so this knob is
-    /// structurally inert here and chaos fingerprints stay
-    /// byte-identical at every setting (DESIGN.md §17); the
-    /// determinism suite sweeps it to prove exactly that.
-    pub claim_lanes: usize,
 }
 
 impl ChaosConfig {
@@ -73,8 +61,6 @@ impl ChaosConfig {
             seed,
             plan: FaultPlan::chaos(seed),
             parallelism: 1,
-            shards: 1,
-            claim_lanes: 1,
         }
     }
 
@@ -92,8 +78,6 @@ impl ChaosConfig {
             seed,
             plan,
             parallelism: 1,
-            shards: 1,
-            claim_lanes: 1,
         }
     }
 
@@ -101,21 +85,6 @@ impl ChaosConfig {
     /// pool (1 = sequential reference).
     pub fn with_parallelism(mut self, n: usize) -> Self {
         self.parallelism = n;
-        self
-    }
-
-    /// The same scenario with `n` lock-domain shards (1 = single-lock
-    /// reference).
-    pub fn with_shards(mut self, n: usize) -> Self {
-        self.shards = n;
-        self
-    }
-
-    /// The same scenario with `n` claim lanes (1 = serial claim
-    /// reference; inert under a fault plan by the serial-fallback
-    /// rule).
-    pub fn with_claim_lanes(mut self, n: usize) -> Self {
-        self.claim_lanes = n;
         self
     }
 }
@@ -222,10 +191,8 @@ impl Driver {
     fn drive(&mut self) {
         loop {
             self.apply_due_deaths();
-            // Pop serially in worker order, then route the claim tails
-            // through the shared claim pipeline. With a fault plan
-            // attached `claim_tasks` always takes the serial reference
-            // path, so fault draws stay in pop order (DESIGN.md §17).
+            // Pop serially in worker order, then run the claim tails in
+            // that same order, so fault draws stay in pop order.
             let mut popped = Vec::new();
             for i in 0..self.alive.len() {
                 if !self.alive[i] {
@@ -358,8 +325,6 @@ pub fn run_chaos(config: &ChaosConfig) -> ChaosResult {
             broker_attempts: config.broker_attempts,
             fault_plan: Some(config.plan.clone()),
             parallelism: config.parallelism,
-            shards: config.shards,
-            claim_lanes: config.claim_lanes,
             ..Default::default()
         },
         clock.clone(),

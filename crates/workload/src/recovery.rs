@@ -357,7 +357,6 @@ pub fn run_recovery(config: &RecoveryConfig) -> RecoveryResult {
         broker_attempts: chaos.broker_attempts,
         fault_plan: Some(chaos.plan.clone()),
         parallelism: chaos.parallelism,
-        shards: chaos.shards,
         durability: config.durability,
         ..Default::default()
     };

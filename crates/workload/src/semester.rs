@@ -53,21 +53,6 @@ pub struct SemesterConfig {
     /// [`SemesterResult::fingerprint`] is byte-identical at every
     /// setting (DESIGN.md §15).
     pub parallelism: usize,
-    /// Lock-domain shard count for the store arena, database
-    /// collections, and commit lanes (1 = the preserved single-lock
-    /// reference). Shard assignment is a pure function of
-    /// digest/key/job id, so fingerprints are byte-identical at every
-    /// setting (DESIGN.md §16).
-    pub shards: usize,
-    /// Claim-lane count: `1` — the preserved serial reference — claims
-    /// every popped job inline on the event loop; `N > 1` fans the
-    /// claim tails (auth, spec parse, image resolve, payload fetch)
-    /// across `N` lanes keyed by a hash of the job's log topic, with
-    /// results re-sorted into pop order before execute. Popping stays
-    /// serial and order-defining, so
-    /// [`SemesterResult::fingerprint`] is byte-identical at every
-    /// setting (DESIGN.md §17).
-    pub claim_lanes: usize,
 }
 
 /// Fleet provisioning policy for the semester (the elasticity
@@ -101,8 +86,6 @@ impl SemesterConfig {
             arrivals: CircadianModel::paper_calibrated(),
             db_hot_indexes: true,
             parallelism: 1,
-            shards: 1,
-            claim_lanes: 1,
         }
     }
 
@@ -120,8 +103,6 @@ impl SemesterConfig {
             arrivals,
             db_hot_indexes: true,
             parallelism: 1,
-            shards: 1,
-            claim_lanes: 1,
         }
     }
 
@@ -129,20 +110,6 @@ impl SemesterConfig {
     /// `n`-worker pool (1 = sequential reference).
     pub fn with_parallelism(mut self, n: usize) -> Self {
         self.parallelism = n;
-        self
-    }
-
-    /// The same semester with `n` lock-domain shards (1 = single-lock
-    /// reference).
-    pub fn with_shards(mut self, n: usize) -> Self {
-        self.shards = n;
-        self
-    }
-
-    /// The same semester with `n` claim lanes (1 = serial claim
-    /// reference).
-    pub fn with_claim_lanes(mut self, n: usize) -> Self {
-        self.claim_lanes = n;
         self
     }
 }
@@ -311,11 +278,10 @@ fn dispatch(state: &mut SemState, sched: &mut Sched<'_>) {
         if budget == 0 {
             return;
         }
-        // Pop serially — the order-defining half of a claim — then fan
-        // the claim tails across the configured claim lanes; results
-        // come back re-sorted into pop order (DESIGN.md §17). The
-        // round-robin assignment pops at most one task per worker per
-        // round (budget <= n_workers), as `claim_tasks` requires.
+        // Pop in FIFO order — the order-defining half of a claim —
+        // then run the claim tails in that order. The round-robin
+        // assignment pops at most one task per worker per round
+        // (budget <= n_workers).
         let mut popped = Vec::with_capacity(budget);
         for _ in 0..budget {
             let expect_id = state.waiting.pop_front().expect("bounded by len");
@@ -409,8 +375,6 @@ pub fn run_semester(config: &SemesterConfig) -> SemesterResult {
             seed: config.seed,
             db_hot_indexes: config.db_hot_indexes,
             parallelism: config.parallelism,
-            shards: config.shards,
-            claim_lanes: config.claim_lanes,
             ..Default::default()
         },
         clock.clone(),

@@ -35,5 +35,5 @@ pub mod value;
 
 pub use emit::to_string;
 pub use error::{YamlError, YamlResult};
-pub use parser::parse;
+pub use parser::{parse, MAX_DEPTH};
 pub use value::Yaml;

@@ -5,6 +5,16 @@ use crate::error::{YamlError, YamlResult};
 use crate::scanner::{parse_scalar, scan, split_key, Line};
 use crate::value::Yaml;
 
+/// Deepest collection nesting [`parse`] accepts, block and flow levels
+/// counted together. Real build specs nest fewer than 10 levels; the
+/// bound turns hostile input (thousands of nested `[` or indented
+/// blocks) into an ordinary [`YamlError`] instead of a stack overflow.
+pub const MAX_DEPTH: usize = 256;
+
+fn too_deep(line: usize) -> YamlError {
+    YamlError::new(line, format!("nesting deeper than {MAX_DEPTH} levels"))
+}
+
 /// Parse a single YAML document.
 ///
 /// An empty (or comment-only) document parses to [`Yaml::Null`].
@@ -15,7 +25,12 @@ pub fn parse(src: &str) -> YamlResult<Yaml> {
     }
     let root_indent = lines[0].indent;
     let raw: Vec<String> = src.lines().map(str::to_string).collect();
-    let mut p = Parser { lines, pos: 0, raw };
+    let mut p = Parser {
+        lines,
+        pos: 0,
+        raw,
+        depth: 0,
+    };
     let value = p.parse_node(root_indent)?;
     if let Some(extra) = p.peek() {
         return Err(YamlError::new(
@@ -32,6 +47,8 @@ struct Parser {
     /// The raw source lines (1-based via index+0): block scalars need
     /// them because the scanner strips comments and blank lines.
     raw: Vec<String>,
+    /// Nodes currently open on the recursion stack.
+    depth: usize,
 }
 
 impl Parser {
@@ -57,6 +74,17 @@ impl Parser {
                 format!("bad indentation: expected column {indent}, found {}", line.indent),
             ));
         }
+        if self.depth >= MAX_DEPTH {
+            return Err(too_deep(line.number));
+        }
+        self.depth += 1;
+        let node = self.parse_node_at(indent);
+        self.depth -= 1;
+        node
+    }
+
+    fn parse_node_at(&mut self, indent: usize) -> YamlResult<Yaml> {
+        let line = self.peek().expect("parse_node checked");
         if is_sequence_entry(&line.content) {
             self.parse_sequence(indent)
         } else if split_key(&line.content).is_some() {
@@ -302,6 +330,7 @@ impl Parser {
                 chars: t.char_indices().collect(),
                 pos: 0,
                 line: number,
+                depth: self.depth,
             };
             let v = fp.parse_value()?;
             fp.skip_ws();
@@ -348,6 +377,8 @@ struct FlowParser {
     chars: Vec<(usize, char)>,
     pos: usize,
     line: usize,
+    /// Collections currently open, the enclosing block levels included.
+    depth: usize,
 }
 
 impl FlowParser {
@@ -364,8 +395,19 @@ impl FlowParser {
     fn parse_value(&mut self) -> YamlResult<Yaml> {
         self.skip_ws();
         match self.peek() {
-            Some('[') => self.parse_seq(),
-            Some('{') => self.parse_map(),
+            Some(open @ ('[' | '{')) => {
+                if self.depth >= MAX_DEPTH {
+                    return Err(too_deep(self.line));
+                }
+                self.depth += 1;
+                let collection = if open == '[' {
+                    self.parse_seq()
+                } else {
+                    self.parse_map()
+                };
+                self.depth -= 1;
+                collection
+            }
             Some('"') | Some('\'') => {
                 let token = self.take_quoted()?;
                 parse_scalar(&token, self.line)
@@ -755,5 +797,55 @@ commands:
         let doc = parse(src).unwrap();
         assert_eq!(doc.path(&["resources", "gpus"]).and_then(Yaml::as_i64), Some(2));
         assert_eq!(doc.path(&["resources", "network"]).and_then(Yaml::as_bool), Some(false));
+    }
+
+    /// Run `f` on a thread with a 2 MiB stack — the default for
+    /// spawned threads, and what a worker's pool threads get.
+    fn on_small_stack<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(f)
+            .expect("spawn parser thread")
+            .join()
+            .expect("parser must not panic")
+    }
+
+    #[test]
+    fn deep_balanced_flow_nesting_is_an_error() {
+        let depth = 100_000;
+        let src = format!("rai: {}1{}\n", "[".repeat(depth), "]".repeat(depth));
+        let err = on_small_stack(move || parse(&src)).unwrap_err();
+        assert!(err.message.contains("nesting deeper than"), "{err}");
+    }
+
+    #[test]
+    fn deep_unbalanced_flow_nesting_is_an_error() {
+        let src = "[".repeat(100_000);
+        let err = on_small_stack(move || parse(&src)).unwrap_err();
+        assert!(err.message.contains("nesting deeper than"), "{err}");
+    }
+
+    #[test]
+    fn deep_block_nesting_is_an_error() {
+        // One more indentation column per level: `a:` / ` a:` / ...
+        let src: String = (0..MAX_DEPTH + 10)
+            .map(|i| format!("{}a:\n", " ".repeat(i)))
+            .collect();
+        let err = on_small_stack(move || parse(&src)).unwrap_err();
+        assert!(err.message.contains("nesting deeper than"), "{err}");
+    }
+
+    #[test]
+    fn nesting_at_the_bound_still_parses() {
+        // The document root is one level, so MAX_DEPTH - 1 flow levels
+        // under a mapping key fit exactly.
+        let depth = MAX_DEPTH - 1;
+        let src = format!("k: {}1{}\n", "[".repeat(depth), "]".repeat(depth));
+        let doc = on_small_stack(move || parse(&src)).expect("within the bound");
+        let mut v = doc.get("k").expect("key parsed");
+        for _ in 0..depth {
+            v = &v.as_seq().expect("nested sequence")[0];
+        }
+        assert_eq!(v.as_i64(), Some(1));
     }
 }

@@ -5,8 +5,10 @@
 
 use rai::broker::RecvError;
 use rai::core::client::{ProjectDir, SubmitMode};
-use rai::core::protocol::routes;
+use rai::auth::sign_request;
+use rai::core::protocol::{routes, JobKind, JobRequest};
 use rai::core::system::{RaiSystem, SystemConfig};
+use rai::telemetry::names;
 use std::time::Duration;
 
 fn system() -> RaiSystem {
@@ -64,7 +66,9 @@ fn file_server_outage_fails_job_without_wedging_the_queue() {
         .any(|l| l.contains("failed to fetch project")));
 
     // The next submission works: no stuck state.
-    let receipt = sys.submit(&creds, &ProjectDir::sample_cuda_project()).unwrap();
+    let receipt = sys
+        .submit(&creds, &ProjectDir::sample_cuda_project())
+        .unwrap();
     assert!(receipt.success);
 }
 
@@ -172,4 +176,51 @@ fn broker_closed_channel_reports_to_consumer() {
         sub.recv_timeout(Duration::from_millis(50)),
         Err(RecvError::Closed)
     );
+}
+
+#[test]
+fn hostile_build_file_is_rejected_not_fatal() {
+    let mut sys = system();
+    let creds = sys.register_team("hostile", &[]);
+    // A correctly signed job whose rai-build.yml nests 100,000 flow
+    // sequences — past the client's own validation, straight onto the
+    // queue. The test thread's 2 MiB stack is what a worker thread
+    // gets; the spec parser's depth bound must turn this into a
+    // bad-spec rejection, not a stack overflow.
+    let mut request = JobRequest {
+        job_id: 1_000_000,
+        access_key: creds.access_key.clone(),
+        signature: String::new(),
+        team: "hostile".into(),
+        upload_bucket: "uploads".into(),
+        upload_key: "hostile/never-uploaded.tar".into(),
+        build_yml: format!("rai: {}\n", "[".repeat(100_000)),
+        kind: JobKind::Run,
+    };
+    request.signature = sign_request(
+        &creds.secret_key,
+        &creds.access_key,
+        &request.signing_payload(),
+    );
+    sys.broker()
+        .publish(routes::TASK_TOPIC, request.encode())
+        .unwrap();
+
+    let outcomes = sys.drain();
+    assert_eq!(outcomes.len(), 1);
+    assert_eq!(outcomes[0].job_id, 1_000_000);
+    assert!(!outcomes[0].success);
+    let metrics = sys.report().metrics;
+    assert_eq!(
+        metrics.counter(
+            names::JOBS_TOTAL,
+            &[("kind", "run"), ("outcome", "bad-spec")]
+        ),
+        Some(1)
+    );
+    // The worker keeps serving real jobs afterwards.
+    let receipt = sys
+        .submit(&creds, &ProjectDir::sample_cuda_project())
+        .unwrap();
+    assert!(receipt.success);
 }
