@@ -16,8 +16,6 @@
 
 use crate::fnv::{self, Fnv1a};
 use bytes::Bytes;
-use rai_exec::Executor;
-use std::ops::Range;
 
 /// Per-byte mixing table for the Gear rolling hash, generated at
 /// compile time from splitmix64 so the table is deterministic and
@@ -160,9 +158,7 @@ pub fn chunk_bytes(data: &[u8], params: ChunkerParams) -> (ChunkManifest, Vec<Ch
     (manifest, chunks)
 }
 
-/// Find the end of the chunk starting at `start`: the single source of
-/// boundary truth shared by [`chunk_bytes`] and [`chunk_bytes_on`], so
-/// the parallel path cannot drift from the sequential one.
+/// Find the end of the chunk starting at `start`.
 #[inline]
 fn next_cut(data: &[u8], start: usize, params: ChunkerParams, mask: u64) -> usize {
     let end = data.len().min(start + params.max);
@@ -187,100 +183,6 @@ fn next_cut(data: &[u8], start: usize, params: ChunkerParams, mask: u64) -> usiz
         }
     }
     end
-}
-
-/// Payloads smaller than this stay on the sequential path even under a
-/// pool executor: RAI containers are ~1 KiB, and for them the scope
-/// bookkeeping would cost more than the digests it farms out. Large
-/// payloads (dataset pushes, batched instructor exports) clear the bar
-/// and split their digest work across workers.
-pub const PAR_CHUNK_MIN_BYTES: usize = 32 * 1024;
-
-/// [`chunk_bytes`] with the digest work routed onto `exec`.
-///
-/// Boundaries are found by the same sequential Gear scan (the rolling
-/// hash is inherently order-dependent), then per-chunk FNV digests and
-/// the whole-stream etag — the two passes that dominate — run as pool
-/// tasks over batched chunk ranges, joined in input order. Output is
-/// **byte-identical** to [`chunk_bytes`] for every input, executor,
-/// and parallelism: same boundaries (shared cut scan), same digests
-/// (pure per-chunk functions), same etag (whole-stream FNV equals the
-/// chunk-by-chunk fold because chunks partition the stream in order).
-pub fn chunk_bytes_on(
-    exec: &Executor,
-    data: &[u8],
-    params: ChunkerParams,
-) -> (ChunkManifest, Vec<Chunk>) {
-    if exec.is_sequential() || data.len() < PAR_CHUNK_MIN_BYTES {
-        return chunk_bytes(data, params);
-    }
-    let mask = params.mask();
-    let mut bounds: Vec<Range<usize>> = Vec::new();
-    let mut start = 0usize;
-    while start < data.len() {
-        let cut = next_cut(data, start, params, mask);
-        bounds.push(start..cut);
-        start = cut;
-    }
-    // One task per batch of chunk ranges plus one for the stream etag,
-    // so the etag pass overlaps the digest passes instead of running
-    // after them.
-    enum Task {
-        Etag,
-        Digests(Range<usize>),
-    }
-    enum Out {
-        Etag(String),
-        Digests(Vec<(ChunkRef, Chunk)>),
-    }
-    let mut tasks = vec![Task::Etag];
-    tasks.extend(
-        rai_exec::batch_ranges(bounds.len(), exec.parallelism() * 4)
-            .into_iter()
-            .map(Task::Digests),
-    );
-    let outs = exec.par_map(tasks, |task| match task {
-        Task::Etag => Out::Etag(fnv::etag(data)),
-        Task::Digests(batch) => Out::Digests(
-            bounds[batch]
-                .iter()
-                .map(|r| {
-                    let slice = &data[r.clone()];
-                    let digest = fnv::hash(slice);
-                    (
-                        ChunkRef {
-                            digest,
-                            len: slice.len() as u32,
-                        },
-                        Chunk {
-                            digest,
-                            data: Bytes::copy_from_slice(slice),
-                        },
-                    )
-                })
-                .collect(),
-        ),
-    });
-    let mut refs = Vec::with_capacity(bounds.len());
-    let mut chunks = Vec::with_capacity(bounds.len());
-    let mut etag = String::new();
-    for out in outs {
-        match out {
-            Out::Etag(e) => etag = e,
-            Out::Digests(batch) => {
-                for (r, c) in batch {
-                    refs.push(r);
-                    chunks.push(c);
-                }
-            }
-        }
-    }
-    let manifest = ChunkManifest {
-        chunks: refs,
-        total_len: data.len() as u64,
-        etag,
-    };
-    (manifest, chunks)
 }
 
 fn push_chunk(slice: &[u8], refs: &mut Vec<ChunkRef>, chunks: &mut Vec<Chunk>, etag: &mut Fnv1a) {
@@ -422,23 +324,6 @@ mod tests {
         assert_eq!(assemble(&m, |_| None), None);
         let truncated = Bytes::copy_from_slice(&chunks[0].data[..1]);
         assert_eq!(assemble(&m, |_| Some(truncated.clone())), None);
-    }
-
-    #[test]
-    fn parallel_chunking_is_byte_identical() {
-        // The determinism gate in miniature: every executor shape must
-        // produce the exact manifest+chunks the sequential path does,
-        // above and below the parallel threshold.
-        for len in [0, 1, 1_000, PAR_CHUNK_MIN_BYTES, 200_000] {
-            let data = sample(len, 13);
-            let (seq_m, seq_c) = chunk_bytes(&data, ChunkerParams::DEFAULT);
-            for threads in [1, 2, 8] {
-                let exec = Executor::new(threads);
-                let (m, c) = chunk_bytes_on(&exec, &data, ChunkerParams::DEFAULT);
-                assert_eq!(m, seq_m, "manifest drift at len={len} threads={threads}");
-                assert_eq!(c, seq_c, "chunk drift at len={len} threads={threads}");
-            }
-        }
     }
 
     #[test]

@@ -9,19 +9,16 @@
 //!    in the database (or leaves via the dead-letter topic);
 //! 2. nothing is double-counted and nothing is lost;
 //! 3. a same-seed re-run is byte-identical (fingerprint equality);
-//! 4. a re-run with the payload pipeline on a 4-worker `rai-exec`
-//!    pool is byte-identical too (width invariance);
-//! 5. poison messages are reported on `rai/tasks#dead`.
+//! 4. poison messages are reported on `rai/tasks#dead`.
 //!
-//! The per-seed scenario triples are independent pure functions of the
-//! seed, so they are fanned out across a `rai-exec` pool sized to the
-//! host; reporting and assertions stay sequential.
+//! The per-seed run pairs are independent pure functions of the seed,
+//! so they are fanned out across scoped threads, at most one per host
+//! core; reporting and assertions stay sequential.
 //!
 //! ```text
 //! cargo run --release -p rai-bench --bin chaos_report [seed...]
 //! ```
 
-use rai_exec::Executor;
 use rai_workload::chaos::{run_chaos, ChaosConfig};
 
 fn main() {
@@ -33,12 +30,7 @@ fn main() {
         if args.is_empty() { vec![2016, 408, 0xC405] } else { args }
     };
 
-    let exec = Executor::new(
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
-    );
-    let runs = exec.par_map(seeds.clone(), |seed: u64| {
+    let runs = rai_bench::fan_out(&seeds, |&seed| {
         let config = ChaosConfig::acceptance(seed);
         rai_telemetry::log!(
             info,
@@ -50,11 +42,10 @@ fn main() {
         );
         let result = run_chaos(&config);
         let repeat = run_chaos(&config);
-        let pooled = run_chaos(&config.clone().with_parallelism(4));
-        (config, result, repeat, pooled)
+        (config, result, repeat)
     });
 
-    for (config, result, repeat, pooled) in &runs {
+    for (config, result, repeat) in &runs {
         let seed = config.seed;
 
         rai_bench::header(&format!("chaos run — seed {seed}"));
@@ -97,11 +88,6 @@ fn main() {
         );
         assert_eq!(result.accepted, repeat.accepted);
         assert_eq!(result.dead_lettered, repeat.dead_lettered);
-        pooled.verify().expect("pooled run upholds the invariant");
-        assert_eq!(
-            result.fingerprint, pooled.fingerprint,
-            "parallelism-4 chaos run must be byte-identical to the sequential reference"
-        );
 
         let crash_rate = result
             .injected

@@ -5,9 +5,8 @@
 //! Write mode (default) runs, per pinned seed:
 //!
 //! 1. the **clean-kill byte-identity gate** — a fault-free quick course
-//!    killed mid-drive, recovered, resumed, at payload-pipeline widths
-//!    1 and 4, asserting every recovered fingerprint equals the
-//!    uninterrupted same-seed run's;
+//!    killed mid-drive, recovered and resumed, asserting the recovered
+//!    fingerprint equals the uninterrupted same-seed run's;
 //! 2. the **chaos restart audit** — the full quick fault plan with a
 //!    mid-drive kill: zero lost, zero duplicated, everything accounted
 //!    across the restart;
@@ -39,9 +38,6 @@ use rai_workload::recovery::{run_recovery, KillPoint, RecoveryConfig, RecoveryRe
 
 /// Pinned seeds, matching the chaos acceptance job.
 const SEEDS: [u64; 3] = [2016, 408, 50181];
-
-/// Exec widths the clean-kill byte-identity gate sweeps.
-const WIDTHS: [usize; 2] = [1, 4];
 
 /// The seeded kill point every scenario uses: mid-drive, a few worker
 /// steps into round 5 of the 12-round quick course.
@@ -92,21 +88,17 @@ fn aggressive(durability: DurabilityConfig) -> DurabilityConfig {
 }
 
 fn run_seed(seed: u64) -> SeedReport {
-    // 1. Clean-kill byte-identity, widths 1 and 4.
+    // 1. Clean-kill byte-identity.
     let clean_cfg = RecoveryConfig::clean(seed, KILL);
     let baseline = run_recovery(&RecoveryConfig { kill: None, ..clean_cfg.clone() });
     baseline.verify().expect("uninterrupted clean run audits");
-    for width in WIDTHS {
-        let mut cfg = clean_cfg.clone();
-        cfg.chaos = cfg.chaos.with_parallelism(width);
-        let resumed = run_recovery(&cfg);
-        assert!(resumed.killed, "seed {seed}: kill point never fired");
-        resumed.verify().expect("recovered clean run audits");
-        assert_eq!(
-            resumed.fingerprint, baseline.fingerprint,
-            "seed {seed} width {width}: recovered run differs from uninterrupted run"
-        );
-    }
+    let resumed = run_recovery(&clean_cfg);
+    assert!(resumed.killed, "seed {seed}: kill point never fired");
+    resumed.verify().expect("recovered clean run audits");
+    assert_eq!(
+        resumed.fingerprint, baseline.fingerprint,
+        "seed {seed}: recovered run differs from uninterrupted run"
+    );
 
     // 2. Chaos restart audit.
     let chaos = run_recovery(&RecoveryConfig {
@@ -209,12 +201,8 @@ fn render_json(seeds: &[SeedReport], host: &HostReport) -> String {
     };
     let mut out = String::new();
     out.push_str("{\n");
-    out.push_str("  \"schema\": \"rai-recovery-bench/4\",\n");
+    out.push_str("  \"schema\": \"rai-recovery-bench/5\",\n");
     out.push_str(&format!("  \"seeds\": [{}],\n", list(&|s| s.seed.to_string())));
-    out.push_str(&format!(
-        "  \"widths_checked\": [{}, {}],\n",
-        WIDTHS[0], WIDTHS[1]
-    ));
     out.push_str("  \"clean_kill\": {\n");
     out.push_str(&format!(
         "    \"fingerprints\": [{}],\n",
@@ -292,8 +280,8 @@ fn strip_host(json: &str) -> String {
 fn print_seed(s: &SeedReport) {
     println!("  seed {}", s.seed);
     println!(
-        "    clean kill       fingerprint {:#018x} over {} accepted, identical at widths {:?}",
-        s.clean_fingerprint, s.clean_accepted, WIDTHS
+        "    clean kill       fingerprint {:#018x} over {} accepted, identical to the uninterrupted run",
+        s.clean_fingerprint, s.clean_accepted
     );
     println!(
         "    chaos restart    {} accepted -> {} terminal + {} dead-lettered, {} republished",

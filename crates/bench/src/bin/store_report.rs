@@ -10,17 +10,14 @@
 //! 2. runs the chaos acceptance scenario and asserts the
 //!    no-lost/no-duplicated audit still holds with dedup enabled;
 //! 3. asserts the dedup ratio floor (physical ≤ 1/3 of logical);
-//! 4. re-runs the semester on the same seed — once sequentially and
-//!    once with the payload pipeline on a 4-worker `rai-exec` pool —
-//!    and asserts the rendered JSON is byte-identical both times
-//!    (determinism gate; chunk boundaries and dedup accounting must
-//!    not move with the pool width);
+//! 4. re-runs the semester on the same seed and asserts the rendered
+//!    JSON is byte-identical (determinism gate);
 //! 5. measures chunker throughput on a synthetic buffer (printed to
 //!    stdout only — wall-clock numbers never go into the JSON).
 //!
-//! The four scenario runs are independent pure functions of the seed,
-//! so they are fanned out across a `rai-exec` pool sized to the host;
-//! rendering and assertions stay sequential.
+//! The three scenario runs are independent pure functions of the seed,
+//! so they are fanned out across scoped threads, at most one per host
+//! core; rendering and assertions stay sequential.
 //!
 //! ```text
 //! cargo run --release -p rai-bench --bin store_report [seed]
@@ -29,10 +26,9 @@
 //! The JSON schema is documented in EXPERIMENTS.md.
 
 use rai_archive::chunk::{chunk_bytes, ChunkerParams};
-use rai_exec::Executor;
 use rai_store::StoreUsage;
-use rai_workload::chaos::{run_chaos, ChaosConfig};
-use rai_workload::semester::{run_semester, SemesterConfig};
+use rai_workload::chaos::{run_chaos, ChaosConfig, ChaosResult};
+use rai_workload::semester::{run_semester, SemesterConfig, SemesterResult};
 
 /// Pinned semester scale for the baseline: big enough for the dedup
 /// ratios to stabilize, small enough for a CI smoke job.
@@ -123,26 +119,24 @@ fn main() {
     let sem_config = SemesterConfig::scaled(TEAMS, DAYS, seed);
     let chaos_config = ChaosConfig::acceptance(seed);
 
-    // All four scenario runs are pure functions of their configs: fan
+    // All three scenario runs are pure functions of their configs: fan
     // them out, then render and assert sequentially.
-    let exec = Executor::new(
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
-    );
-    let (mut semester, mut semester2, mut pooled, mut chaos) = (None, None, None, None);
-    exec.scope(|s| {
-        s.spawn(|| semester = Some(run_semester(&sem_config)));
-        s.spawn(|| semester2 = Some(run_semester(&sem_config)));
-        s.spawn(|| pooled = Some(run_semester(&sem_config.clone().with_parallelism(4))));
-        s.spawn(|| chaos = Some(run_chaos(&chaos_config)));
+    enum Run {
+        Semester(Box<SemesterResult>),
+        Chaos(Box<ChaosResult>),
+    }
+    let runs = rai_bench::fan_out(&[false, false, true], |&is_chaos| {
+        if is_chaos {
+            Run::Chaos(Box::new(run_chaos(&chaos_config)))
+        } else {
+            Run::Semester(Box::new(run_semester(&sem_config)))
+        }
     });
-    let (semester, semester2, pooled, chaos) = (
-        semester.expect("semester run joined"),
-        semester2.expect("semester re-run joined"),
-        pooled.expect("pooled semester run joined"),
-        chaos.expect("chaos run joined"),
-    );
+    let Ok([Run::Semester(semester), Run::Semester(semester2), Run::Chaos(chaos)]) =
+        <[Run; 3]>::try_from(runs)
+    else {
+        unreachable!("fan_out returns the three runs in input order")
+    };
     chaos
         .verify()
         .expect("chaos no-lost/no-duplicated audit must hold with dedup enabled");
@@ -157,27 +151,17 @@ fn main() {
 
     // Determinism gate: a same-seed re-run must render byte-identical
     // JSON (the semester is the trajectory baseline; flapping numbers
-    // would poison every future comparison) — and so must a re-run
-    // with the payload pipeline on a 4-worker pool (chunk boundaries
-    // and dedup accounting are width-invariant).
-    let rerender = |r: &rai_workload::semester::SemesterResult| {
+    // would poison every future comparison).
+    assert_eq!(
+        json,
         render(
             seed,
-            &r.store,
-            r.total_submissions,
+            &semester2.store,
+            semester2.total_submissions,
             &chaos.store,
             chaos.accepted.len(),
-        )
-    };
-    assert_eq!(
-        json,
-        rerender(&semester2),
+        ),
         "same-seed semester must be byte-identical"
-    );
-    assert_eq!(
-        json,
-        rerender(&pooled),
-        "parallelism-4 semester must render byte-identical store accounting"
     );
 
     rai_bench::header(&format!("store dedup baseline — seed {seed}"));

@@ -1,9 +1,9 @@
 //! **Causal-trace attribution report**: where does the semester wall
-//! go, and does the answer come out byte-identical at every exec pool
-//! width — written to `BENCH_trace.json`.
+//! go, and does the answer come out byte-identical on a same-seed
+//! re-run — written to `BENCH_trace.json`.
 //!
 //! Write mode (default) runs the pinned semester (12 teams x 21 days)
-//! and the chaos acceptance scenario at pool widths 1 and 4, and:
+//! and the chaos acceptance scenario twice with the same seed, and:
 //!
 //! 1. extracts every job's critical path from its span tree and prints
 //!    the "where does the semester wall go" attribution table
@@ -12,18 +12,18 @@
 //! 2. asserts the *entire deterministic artifact* — attribution tables,
 //!    queue-wait histogram encoding, end-to-end histogram encoding,
 //!    backpressure sparklines, and the Chrome trace-event export — is
-//!    byte-identical across widths (spans carry logical sim-times, so
-//!    host scheduling must not leak into a single byte);
+//!    byte-identical across the two runs (spans carry logical
+//!    sim-times, so host timing must not leak into a single byte);
 //! 3. writes the Perfetto-loadable Chrome trace JSON for a sample
 //!    window of jobs to `target/trace_semester.json` and
 //!    `target/trace_chaos.json`;
-//! 4. reports the exec pool's steal/park/spawn/inline-run counters —
-//!    host-scheduling facts, deliberately *outside* the artifact;
+//! 4. reports the trace store's late-drop counter, outside the
+//!    artifact;
 //! 5. commits the artifact fingerprints, end-to-end quantiles, and the
 //!    p99 SLO to `BENCH_trace.json`.
 //!
-//! Check mode (`--check`, the CI trace job) re-runs both scenarios at
-//! widths 1 and 4, re-asserts cross-width byte-identity, requires the
+//! Check mode (`--check`, the CI trace job) re-runs both scenarios
+//! twice, re-asserts same-seed byte-identity, requires the
 //! artifact fingerprints and end-to-end p99 to match the committed
 //! values *exactly* (they are pure functions of the seed), and enforces
 //! the p99 SLO ceiling. It writes nothing.
@@ -39,10 +39,6 @@ use rai_workload::semester::{run_semester, SemesterConfig, SemesterResult};
 /// Pinned scale, matching the perf baseline (`perf_report`).
 const TEAMS: usize = 12;
 const DAYS: u64 = 21;
-
-/// Exec widths the byte-identity gate sweeps (ISSUE acceptance: the
-/// attribution table must be byte-identical at widths 1 and 4).
-const WIDTHS: [usize; 2] = [1, 4];
 
 /// Jobs included in the Chrome trace export sample window. Bounds the
 /// JSON size while still exercising every span shape.
@@ -61,7 +57,7 @@ fn fnv1a(h: &mut u64, bytes: &[u8]) {
 }
 
 /// Everything deterministic one (semester, chaos) pair produces. Two
-/// runs at different pool widths must agree on every byte of this.
+/// same-seed runs must agree on every byte of this.
 struct Artifact {
     semester_table: String,
     queue_encoding: String,
@@ -97,8 +93,7 @@ impl Artifact {
         fp
     }
 
-    fn assert_identical(&self, other: &Artifact, widths: (usize, usize)) {
-        let (a, b) = widths;
+    fn assert_identical(&self, other: &Artifact) {
         let pairs: [(&str, &str, &str); 8] = [
             ("semester attribution table", &self.semester_table, &other.semester_table),
             ("queue-wait histogram", &self.queue_encoding, &other.queue_encoding),
@@ -110,11 +105,11 @@ impl Artifact {
             ("chaos Chrome trace", &self.chrome_chaos, &other.chrome_chaos),
         ];
         for (what, left, right) in pairs {
-            assert_eq!(left, right, "{what} differs between widths {a} and {b}");
+            assert_eq!(left, right, "{what} differs between same-seed runs");
         }
         assert_eq!(
             self.chaos_wasted_micros, other.chaos_wasted_micros,
-            "chaos wasted-work total differs between widths {a} and {b}"
+            "chaos wasted-work total differs between same-seed runs"
         );
     }
 }
@@ -123,11 +118,11 @@ fn chrome_sample(traces: &[JobTrace]) -> String {
     render_chrome_trace(&traces[..traces.len().min(CHROME_SAMPLE_JOBS)])
 }
 
-/// Run both pinned scenarios at one pool width and distil the artifact.
-fn run_at(width: usize, seed: u64) -> (Artifact, SemesterResult, ChaosResult) {
-    let sem = run_semester(&SemesterConfig::scaled(TEAMS, DAYS, seed).with_parallelism(width));
+/// Run both pinned scenarios and distil the artifact.
+fn run_once(seed: u64) -> (Artifact, SemesterResult, ChaosResult) {
+    let sem = run_semester(&SemesterConfig::scaled(TEAMS, DAYS, seed));
     let attr = attribute(&sem.traces);
-    let chaos = run_chaos(&ChaosConfig::acceptance(seed).with_parallelism(width));
+    let chaos = run_chaos(&ChaosConfig::acceptance(seed));
     chaos.verify().expect("chaos audit");
     let chaos_attr = attribute(&chaos.traces);
     let e2e = attr.end_to_end.summary();
@@ -149,29 +144,10 @@ fn run_at(width: usize, seed: u64) -> (Artifact, SemesterResult, ChaosResult) {
     (artifact, sem, chaos)
 }
 
-/// The report-only (host-scheduling-dependent) exec counters.
-fn print_exec_counters(label: &str, metrics: &rai_telemetry::MetricsSnapshot) {
-    println!("  {label} exec counters (host-scheduling facts, outside the artifact):");
-    for name in [
-        names::EXEC_SPAWNED_TOTAL,
-        names::EXEC_INLINE_RUNS_TOTAL,
-        names::EXEC_STOLEN_TOTAL,
-        names::EXEC_PARKED_TOTAL,
-        names::EXEC_INJECTED_TOTAL,
-    ] {
-        println!("    {name:<28} {}", metrics.counter_total(name));
-    }
-    println!(
-        "    {:<28} {}",
-        names::TRACES_DROPPED_LATE_TOTAL,
-        metrics.counter_total(names::TRACES_DROPPED_LATE_TOTAL)
-    );
-}
-
 fn render_json(seed: u64, artifact: &Artifact) -> String {
     let mut out = String::new();
     out.push_str("{\n");
-    out.push_str("  \"schema\": \"rai-trace-bench/1\",\n");
+    out.push_str("  \"schema\": \"rai-trace-bench/2\",\n");
     out.push_str(&format!("  \"seed\": {seed},\n"));
     out.push_str("  \"semester\": {\n");
     out.push_str(&format!("    \"teams\": {TEAMS},\n"));
@@ -202,12 +178,8 @@ fn render_json(seed: u64, artifact: &Artifact) -> String {
         "    \"e2e_p99_ceiling_micros\": {E2E_P99_SLO_MICROS}\n"
     ));
     out.push_str("  },\n");
-    out.push_str(&format!(
-        "  \"widths_checked\": [{}, {}],\n",
-        WIDTHS[0], WIDTHS[1]
-    ));
     out.push_str(
-        "  \"note\": \"the artifact (attribution tables, histogram encodings, sparklines, Chrome trace sample) is a pure function of the seed; exec steal/park counters are host facts and excluded\"\n",
+        "  \"note\": \"the artifact (attribution tables, histogram encodings, sparklines, Chrome trace sample) is a pure function of the seed\"\n",
     );
     out.push_str("}\n");
     out
@@ -233,27 +205,19 @@ fn extract<'a>(json: &'a str, section: &str, key: &str) -> &'a str {
         .trim_matches('"')
 }
 
-/// Run the cross-width sweep: the artifact must be byte-identical at
-/// every width; per-width results ride along for the report-only
-/// sections (exec counters differ by width — that is their point).
-fn sweep(seed: u64) -> (Artifact, Vec<(usize, SemesterResult, ChaosResult)>) {
-    let mut runs = Vec::new();
-    let mut reference: Option<Artifact> = None;
-    for &width in &WIDTHS {
-        let (artifact, sem, chaos) = run_at(width, seed);
-        if let Some(r) = &reference {
-            r.assert_identical(&artifact, (WIDTHS[0], width));
-            assert_eq!(
-                r.fingerprint(),
-                artifact.fingerprint(),
-                "artifact fingerprints diverged across widths"
-            );
-        } else {
-            reference = Some(artifact);
-        }
-        runs.push((width, sem, chaos));
-    }
-    (reference.expect("at least one width"), runs)
+/// Run both scenarios twice with the same seed: the artifact must be
+/// byte-identical. The first run's results ride along for the
+/// report-only sections.
+fn run_twice(seed: u64) -> (Artifact, SemesterResult, ChaosResult) {
+    let (artifact, sem, chaos) = run_once(seed);
+    let (again, _, _) = run_once(seed);
+    artifact.assert_identical(&again);
+    assert_eq!(
+        artifact.fingerprint(),
+        again.fingerprint(),
+        "artifact fingerprints diverged between same-seed runs"
+    );
+    (artifact, sem, chaos)
 }
 
 fn check(seed: u64) {
@@ -261,7 +225,7 @@ fn check(seed: u64) {
         std::fs::read_to_string("BENCH_trace.json").expect("read committed BENCH_trace.json");
     assert_eq!(
         extract(&committed, "schema", "schema"),
-        "rai-trace-bench/1",
+        "rai-trace-bench/2",
         "unexpected schema"
     );
     let committed_fp = extract(&committed, "semester", "artifact_fingerprint").to_string();
@@ -272,7 +236,7 @@ fn check(seed: u64) {
         .parse()
         .expect("e2e_p99_ceiling_micros is a number");
 
-    let (artifact, _) = sweep(seed);
+    let (artifact, _, _) = run_twice(seed);
     let fp = format!("{:#018x}", artifact.fingerprint());
     assert_eq!(
         fp, committed_fp,
@@ -292,8 +256,8 @@ fn check(seed: u64) {
         ceiling
     );
     println!(
-        "trace check: artifact {fp} byte-identical at widths {} and {}, e2e p99 {}µs == committed, under SLO {}µs",
-        WIDTHS[0], WIDTHS[1], artifact.e2e_p99_micros, ceiling
+        "trace check: artifact {fp} byte-identical on a same-seed re-run, e2e p99 {}µs == committed, under SLO {}µs",
+        artifact.e2e_p99_micros, ceiling
     );
 }
 
@@ -307,12 +271,8 @@ fn main() {
         return;
     }
 
-    rai_bench::header(&format!(
-        "causal-trace attribution — seed {seed}, widths {:?}",
-        WIDTHS
-    ));
-    let (artifact, runs) = sweep(seed);
-    let sem = &runs[0].1;
+    rai_bench::header(&format!("causal-trace attribution — seed {seed}"));
+    let (artifact, sem, chaos) = run_twice(seed);
 
     rai_bench::header("where does the semester wall go (critical-path attribution)");
     print!("{}", artifact.semester_table);
@@ -330,10 +290,13 @@ fn main() {
         artifact.chaos_jobs
     );
 
-    rai_bench::header("exec pool + trace-store health");
-    for (width, sem_run, chaos_run) in &runs {
-        print_exec_counters(&format!("width-{width} semester"), &sem_run.metrics);
-        print_exec_counters(&format!("width-{width} chaos"), &chaos_run.metrics);
+    rai_bench::header("trace-store health");
+    for (label, metrics) in [("semester", &sem.metrics), ("chaos", &chaos.metrics)] {
+        println!(
+            "  {label:<9} {:<28} {}",
+            names::TRACES_DROPPED_LATE_TOTAL,
+            metrics.counter_total(names::TRACES_DROPPED_LATE_TOTAL)
+        );
     }
 
     // The Perfetto-loadable exports (load via ui.perfetto.dev or

@@ -25,10 +25,43 @@ use rai_core::client::ProjectDir;
 use rai_core::protocol::{JobKind, JobRequest};
 use rai_core::spec::FINAL_SUBMISSION_YML;
 use rai_store::ObjectStore;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Print a section header for bench-binary output.
 pub fn header(title: &str) {
     println!("\n=== {title} ===");
+}
+
+/// Map `f` over `items` on at most `available_parallelism()` scoped
+/// threads, returning the results in input order. The report bins use
+/// it to fan out independent whole runs (one per seed or scenario);
+/// each run itself stays on one thread.
+pub fn fan_out<T: Sync, U: Send>(items: &[T], f: impl Fn(&T) -> U + Sync) -> Vec<U> {
+    let threads = std::thread::available_parallelism()
+        .map_or(1, |n| n.get())
+        .min(items.len())
+        .max(1);
+    let next = AtomicUsize::new(0);
+    let mut done: Vec<(usize, U)> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..threads)
+            .map(|_| {
+                s.spawn(|| {
+                    let mut out = Vec::new();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(item) = items.get(i) else { return out };
+                        out.push((i, f(item)));
+                    }
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+            .collect()
+    });
+    done.sort_by_key(|(i, _)| *i);
+    done.into_iter().map(|(_, u)| u).collect()
 }
 
 /// Build a ready-to-process final-submission job request: uploads the

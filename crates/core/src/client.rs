@@ -294,14 +294,6 @@ impl RaiClient {
         self
     }
 
-    /// Route this client's chunking + digesting onto `exec`. Uploads
-    /// stay byte-identical at any parallelism (DESIGN.md §12); the
-    /// fresh uploader's empty digest cache matches `new`'s.
-    pub fn with_executor(mut self, exec: rai_exec::Executor) -> Self {
-        self.delta = DeltaUploader::with_executor(exec);
-        self
-    }
-
     /// The credentials in use.
     pub fn credentials(&self) -> &Credentials {
         &self.creds

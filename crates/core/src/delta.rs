@@ -10,8 +10,7 @@
 //! bytes instead of the whole archive — the paper's dominant workload
 //! (30 782 submissions in the final two weeks, most of them retries).
 
-use rai_archive::chunk::{chunk_bytes, chunk_bytes_on, Chunk, ChunkManifest, ChunkerParams};
-use rai_exec::Executor;
+use rai_archive::chunk::{chunk_bytes, Chunk, ChunkManifest, ChunkerParams};
 use rai_store::{ObjectStore, StoreError};
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashSet};
@@ -21,9 +20,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 ///
 /// Preparation (content-defined chunking + digesting) is the pure,
 /// CPU-bound half of a delta upload; committing it (`has_chunks` +
-/// `put_delta`) is the half that talks to the store. The job scheduler
-/// (DESIGN.md §15) prepares uploads on pool tasks during the execute
-/// phase and commits them serially, so store traffic — and with it the
+/// `put_delta`) is the half that talks to the store. A scheduling
+/// round (DESIGN.md §12) prepares uploads during the execute phase and
+/// commits them afterwards, so store traffic — and with it the
 /// fault-draw stream — stays in deterministic claim order.
 #[derive(Clone, Debug)]
 pub struct PreparedUpload {
@@ -33,9 +32,7 @@ pub struct PreparedUpload {
 
 impl PreparedUpload {
     /// Chunk `payload` with the store's default parameters. Chunk
-    /// boundaries and digests are a pure function of the bytes, so a
-    /// prepared upload is byte-identical no matter where (or how
-    /// concurrently) it was prepared.
+    /// boundaries and digests are a pure function of the bytes.
     pub fn prepare(payload: &[u8]) -> Self {
         let (manifest, chunks) = chunk_bytes(payload, ChunkerParams::DEFAULT);
         PreparedUpload { manifest, chunks }
@@ -152,10 +149,6 @@ impl DigestCache {
 pub struct DeltaUploader {
     params: ChunkerParams,
     cache: DigestCache,
-    /// Executor the chunk/digest pass runs on. Sequential by default;
-    /// a pool routes the re-hash of payload bytes across workers
-    /// (DESIGN.md §12) without changing a single manifest byte.
-    executor: Executor,
 }
 
 impl Default for DeltaUploader {
@@ -167,15 +160,9 @@ impl Default for DeltaUploader {
 impl DeltaUploader {
     /// An uploader with the store's default chunker parameters.
     pub fn new() -> Self {
-        Self::with_executor(Executor::sequential())
-    }
-
-    /// An uploader whose chunking + digesting runs on `exec`.
-    pub fn with_executor(executor: Executor) -> Self {
         DeltaUploader {
             params: ChunkerParams::DEFAULT,
             cache: DigestCache::new(),
-            executor,
         }
     }
 
@@ -184,11 +171,10 @@ impl DeltaUploader {
         self.cache.len()
     }
 
-    /// Chunk `payload` on this uploader's executor, ready for
-    /// [`DeltaUploader::upload_prepared`]. Identical to
-    /// [`PreparedUpload::prepare`] byte for byte (DESIGN.md §12).
+    /// Chunk `payload` with this uploader's parameters, ready for
+    /// [`DeltaUploader::upload_prepared`].
     pub fn prepare(&self, payload: &[u8]) -> PreparedUpload {
-        let (manifest, chunks) = chunk_bytes_on(&self.executor, payload, self.params);
+        let (manifest, chunks) = chunk_bytes(payload, self.params);
         PreparedUpload { manifest, chunks }
     }
 
@@ -359,31 +345,6 @@ mod tests {
         assert_eq!(err, StoreError::Unavailable);
         // Next attempt succeeds (budget exhausted).
         assert!(up.upload(&s, "b", "k", &payload(1000, 5), []).is_ok());
-    }
-
-    #[test]
-    fn pool_uploader_matches_sequential_receipts() {
-        // Large enough to clear the parallel chunking threshold, so
-        // the pool path really runs — receipts and stored bytes must
-        // be identical to the sequential reference at every width.
-        let base = payload(96_000, 7);
-        let mut edited = base.clone();
-        edited[48_000] ^= 0x5A;
-        let reference = {
-            let s = store();
-            let up = DeltaUploader::new();
-            let r1 = up.upload(&s, "b", "v1", &base, []).unwrap();
-            let r2 = up.upload(&s, "b", "v2", &edited, []).unwrap();
-            (r1, r2)
-        };
-        for threads in [2, 8] {
-            let s = store();
-            let up = DeltaUploader::with_executor(Executor::new(threads));
-            let r1 = up.upload(&s, "b", "v1", &base, []).unwrap();
-            let r2 = up.upload(&s, "b", "v2", &edited, []).unwrap();
-            assert_eq!((r1, r2), reference, "receipt drift at threads={threads}");
-            assert_eq!(s.get("b", "v2").unwrap().data.as_ref(), &edited[..]);
-        }
     }
 
     #[test]

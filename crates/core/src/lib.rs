@@ -40,6 +40,7 @@ pub mod client;
 pub mod commands;
 pub mod compare;
 pub mod delta;
+pub mod exec;
 pub mod delivery;
 pub mod grading;
 pub mod interactive;
@@ -52,6 +53,7 @@ pub mod worker;
 
 pub use client::{PendingJob, ProjectDir, RaiClient, SubmitError, SubmitMode, SubmitReceipt};
 pub use delta::{DeltaReceipt, DeltaUploader, PreparedUpload};
+pub use exec::{ExecStats, Executor};
 pub use ranking::{RankEntry, RankingBoard};
 pub use spec::{BuildSpec, SpecError};
 pub use system::{RaiSystem, RecoveryReport, SystemConfig};

@@ -6,6 +6,7 @@ use crate::client::{
     ProjectDir, RaiClient, SubmitError, SubmitMode, SubmitReceipt, BUILD_BUCKET,
     UPLOAD_BUCKET,
 };
+use crate::exec::Executor;
 use crate::interactive::{InteractiveSession, SessionBroker, SessionConfig, SessionError};
 use crate::ranking::RankingBoard;
 use crate::ratelimit::{RateDecision, RateLimiter};
@@ -15,7 +16,6 @@ use rai_auth::{Credentials, CredentialRegistry, KeyGenerator};
 use rai_broker::{Broker, BrokerConfig, BrokerStats};
 use rai_faults::{CrashKind, FaultInjector, FaultPlan, RetryPolicy};
 use rai_db::{doc, Database};
-use rai_exec::Executor;
 use rai_sandbox::{ImageRegistry, ResourceLimits};
 use rai_sim::{SimDuration, VirtualClock};
 use rai_store::{LifecycleRule, ObjectStore, StoreRecovery, StoreUsage};
@@ -53,15 +53,6 @@ pub struct SystemConfig {
     /// pre-overhaul behaviour, kept as `perf_report`'s reference run.
     /// Results are identical either way; only wall-clock differs.
     pub db_hot_indexes: bool,
-    /// Width of the [`rai_exec::Executor`] the payload pipeline
-    /// (chunking, digesting, chunk validation) runs on. `1` keeps
-    /// every transform inline on the event loop — the preserved
-    /// reference configuration — while `N > 1` stands up an N-worker
-    /// work-stealing pool. Offloaded work is pure and joined in input
-    /// order, so results (and `SemesterResult::fingerprint()`) are
-    /// byte-identical at every setting; only wall-clock differs
-    /// (DESIGN.md §12).
-    pub parallelism: usize,
     /// Durability knobs for the write-ahead logs behind the database
     /// and the object store. Disabled by default — the preserved
     /// in-memory configuration, byte-identical to pre-WAL behaviour.
@@ -83,7 +74,6 @@ impl Default for SystemConfig {
             broker_attempts: 8,
             fault_plan: None,
             db_hot_indexes: true,
-            parallelism: 1,
             durability: DurabilityConfig::default(),
         }
     }
@@ -228,11 +218,7 @@ impl RaiSystem {
             },
             clock.clone(),
         );
-        // One pool for the whole deployment: client uploads, worker
-        // uploads and server-side validation share it, mirroring how a
-        // real host's cores are shared across the pipeline.
-        let executor = Executor::new(config.parallelism);
-        store.set_executor(executor.clone());
+        let executor = Executor::default();
         if !store.has_bucket(UPLOAD_BUCKET) {
             store
                 .create_bucket(UPLOAD_BUCKET, LifecycleRule::one_month_after_last_use())
@@ -291,7 +277,6 @@ impl RaiSystem {
                     images.clone(),
                 );
                 w.set_telemetry(telemetry.clone());
-                w.set_executor(executor.clone());
                 if let Some(inj) = &injector {
                     w.set_fault_injector(inj.clone());
                 }
@@ -351,18 +336,9 @@ impl RaiSystem {
                 reg.counter(names::DB_QUERIES_TOTAL, &[]).store(t.queries);
                 reg.counter(names::DB_UPDATES_TOTAL, &[]).store(t.updates);
             });
-            // Executor scheduling counters. These describe the *host*
-            // machine's work-stealing behaviour, not the simulation, so
-            // they vary with pool width and OS scheduling — report-only,
-            // never folded into fingerprints or byte-identical exports.
             let exec2 = executor.clone();
             telemetry.register_collector(move |reg| {
                 let s = exec2.stats();
-                reg.counter(names::EXEC_SPAWNED_TOTAL, &[]).store(s.spawned);
-                reg.counter(names::EXEC_INLINE_RUNS_TOTAL, &[]).store(s.inline_runs);
-                reg.counter(names::EXEC_STOLEN_TOTAL, &[]).store(s.stolen);
-                reg.counter(names::EXEC_PARKED_TOTAL, &[]).store(s.parked);
-                reg.counter(names::EXEC_INJECTED_TOTAL, &[]).store(s.injected);
                 reg.counter(names::EXEC_BATCHES_TOTAL, &[]).store(s.batches);
                 reg.counter(names::EXEC_BATCH_JOBS_TOTAL, &[]).store(s.batch_jobs);
             });
@@ -519,8 +495,7 @@ impl RaiSystem {
             self.broker.clone(),
             self.store.clone(),
             self.next_job_id.clone(),
-        )
-        .with_executor(self.executor.clone());
+        );
         if self.db.wal().is_some() {
             // Durable deployments journal a submission intent before
             // publishing, closing the accepted-but-unqueued crash
@@ -582,21 +557,21 @@ impl RaiSystem {
     }
 
     /// Drive the fleet until `stop` matches an outcome or no worker
-    /// makes progress, scheduling whole submissions concurrently
-    /// (DESIGN.md §15).
+    /// makes progress, in claim → execute → commit rounds (DESIGN.md
+    /// §12, §15).
     ///
     /// Each round claims at most one job per worker (serially, in
-    /// worker order), runs every claim's execute phase on the shared
-    /// pool via [`rai_exec::Executor::run_jobs`], then commits in claim
-    /// order. Claim and commit are the only phases that touch
-    /// broker/store/db, so fault draws, trace artifacts and database
-    /// state are byte-identical at every pool width. The clock advances
-    /// once per round by the batch's summed service time — the same
-    /// total the sequential schedule accumulated job by job. Injected
-    /// crashes restart their worker after the round (and stalls
-    /// additionally wait out the in-flight timeout before the broker
-    /// reclaims the held messages); either way the job messages survive
-    /// to a later attempt. Returns all outcomes observed.
+    /// worker order), runs every claim's execute phase via
+    /// [`Executor::run_jobs`], then commits in claim order. Claim and
+    /// commit are the only phases that touch broker/store/db, so fault
+    /// draws, trace artifacts and database state follow claim order.
+    /// The clock advances once per round by the batch's summed service
+    /// time — the same total the sequential schedule accumulated job
+    /// by job. Injected crashes restart their worker after the round
+    /// (and stalls additionally wait out the in-flight timeout before
+    /// the broker reclaims the held messages); either way the job
+    /// messages survive to a later attempt. Returns all outcomes
+    /// observed.
     pub fn drive_until(&mut self, stop: impl Fn(&JobOutcome) -> bool) -> Vec<JobOutcome> {
         let mut outcomes = Vec::new();
         let executor = self.executor.clone();
@@ -732,8 +707,9 @@ impl RaiSystem {
         self.injector.as_ref()
     }
 
-    /// The executor the payload pipeline runs on (sequential when
-    /// `parallelism <= 1`).
+    /// The round runner [`RaiSystem::drive_until`] schedules on; drivers
+    /// that pop on their own run their rounds on it too, so its
+    /// counters cover every round.
     pub fn executor(&self) -> &Executor {
         &self.executor
     }

@@ -163,8 +163,8 @@ impl PoppedTask {
 /// the store — so it must run serially on the event loop. What remains
 /// is pure: a `ClaimedJob` owns every input the build+run needs
 /// (project tree, image, limits, dilation, pre-drawn crash decisions),
-/// which is why [`Worker::execute`] can take it by value onto a pool
-/// task without touching the worker at all.
+/// which is why [`Worker::execute`] can take it by value without
+/// touching the worker at all.
 pub struct ClaimedJob {
     /// Broker message backing this claim (`None` when driven directly
     /// via [`Worker::run_job`], which manages queueing itself).
@@ -219,7 +219,7 @@ enum ClaimPlan {
     },
 }
 
-/// A lifecycle span observed on a pool task, replayed through
+/// A lifecycle span observed during execute, replayed through
 /// telemetry at commit so trace insertion stays in claim order.
 struct StagedSpan {
     stage: &'static str,
@@ -249,7 +249,7 @@ pub struct ExecutedJob {
     /// publishing is faultable, so frames must hit the broker in
     /// deterministic claim order.
     frames: Vec<LogFrame>,
-    /// BUILT/RAN spans observed on the pool task.
+    /// BUILT/RAN spans observed during execute.
     spans: Vec<StagedSpan>,
     run_facts: Option<RunFacts>,
     outcome: ExecOutcome,
@@ -351,14 +351,6 @@ impl Worker {
         self.injector = Some(injector);
     }
 
-    /// Route this worker's `/build` chunking + digesting onto `exec`.
-    /// Call before traffic flows: the replacement uploader starts with
-    /// an empty digest cache (as at worker boot), and uploads are
-    /// byte-identical at any parallelism (DESIGN.md §12).
-    pub fn set_executor(&mut self, exec: rai_exec::Executor) {
-        self.delta = DeltaUploader::with_executor(exec);
-    }
-
     /// This worker's id.
     pub fn id(&self) -> &str {
         &self.config.worker_id
@@ -404,8 +396,8 @@ impl Worker {
     /// timeout (`reclaim_expired`) fires.
     ///
     /// Equivalent to claim → execute → commit back to back; batch
-    /// drivers call the three phases separately so independent jobs'
-    /// execute phases overlap on a pool (DESIGN.md §15).
+    /// drivers call the three phases separately to run a round of
+    /// claims before committing them in claim order (DESIGN.md §12).
     pub fn try_step(&mut self) -> StepEvent {
         match self.claim() {
             None => StepEvent::Idle,
@@ -670,7 +662,7 @@ impl Worker {
         // All stage timestamps are `started + accumulated service time`:
         // the driver advances the shared clock only after the batch
         // commits, so stamping the logical time keeps per-job traces
-        // monotone (and identical at every pool width).
+        // monotone.
         let started = self.store.clock().now();
         if let Some(t) = &self.telemetry {
             // Delivery from the broker opens this attempt's subtree.
@@ -846,11 +838,10 @@ impl Worker {
     ///
     /// This is an associated function on purpose — it consumes the
     /// claim by value and touches neither the worker nor any shared
-    /// service, so independent claims execute concurrently on pool
-    /// tasks (`rai_exec::Executor::run_jobs`) with results that are
-    /// byte-identical at any width. Every side effect (log frames,
-    /// stage spans, the upload) is buffered into the returned
-    /// [`ExecutedJob`] for [`Worker::commit`] to apply in claim order.
+    /// service. Every side effect (log frames, stage spans, the
+    /// upload) is buffered into the returned [`ExecutedJob`] for
+    /// [`Worker::commit`] to apply in claim order
+    /// ([`crate::exec::Executor::run_jobs`]).
     pub fn execute(claimed: ClaimedJob) -> ExecutedJob {
         let ClaimedJob {
             msg_id,
@@ -1024,8 +1015,8 @@ impl Worker {
         };
         // Flush the execute phase's buffered effects first, preserving
         // the per-job order of the sequential pipeline: stdout/stderr
-        // frames (publishing is faultable — the draw stream must not
-        // depend on pool interleaving), then spans, then sandbox
+        // frames (publishing is faultable, so the draw stream follows
+        // claim order), then spans, then sandbox
         // metrics.
         for frame in frames {
             publish(&self.broker, frame);

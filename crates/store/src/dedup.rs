@@ -158,8 +158,8 @@ impl ChunkStore {
 pub(crate) struct ChunkArena {
     store: parking_lot::RwLock<ChunkStore>,
     /// Cumulative microseconds spent waiting on the contended lock. A
-    /// host fact (like `ExecStats`): surfaced in reports and
-    /// telemetry, never in fingerprints.
+    /// host fact: surfaced in reports and telemetry, never in
+    /// fingerprints.
     lock_wait_micros: AtomicU64,
     /// Exclusive (write) guard acquisitions — lets tests assert that a
     /// pure read path never took the writer lock.

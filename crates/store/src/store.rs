@@ -16,9 +16,8 @@ use crate::lifecycle::LifecycleRule;
 use crate::object::{ObjectMeta, StoredObject};
 use bytes::Bytes;
 use parking_lot::RwLock;
-use rai_archive::chunk::{assemble, chunk_bytes_on, Chunk, ChunkManifest, ChunkerParams};
+use rai_archive::chunk::{assemble, chunk_bytes, Chunk, ChunkManifest, ChunkerParams};
 use rai_archive::fnv;
-use rai_exec::Executor;
 use rai_sim::{SimTime, VirtualClock};
 use rai_wal::Wal;
 use std::collections::BTreeMap;
@@ -124,19 +123,10 @@ struct StoreInner {
     faults: std::sync::atomic::AtomicU64,
     /// Probability-driven fault injection (chaos runs).
     injector: RwLock<Option<rai_faults::FaultInjector>>,
-    /// Executor for server-side chunking and chunk verification.
-    /// Sequential by default; a pool spreads the per-chunk digest work
-    /// without changing any stored byte (DESIGN.md §12).
-    executor: RwLock<Executor>,
     /// Optional write-ahead log for object mutations. Chunk bytes ride
     /// `Put` records.
     wal: RwLock<Option<Wal>>,
 }
-
-/// Minimum total provided-chunk bytes before `put_delta` pre-hashes on
-/// the pool instead of hashing inline under the state lock. Small
-/// deltas (the steady-state resubmission) stay on the inline path.
-const PAR_VERIFY_MIN_BYTES: u64 = 32 * 1024;
 
 /// Cumulative usage snapshot — backs the paper's §VII resource-usage
 /// numbers ("the file server held 100GB of data for 176 students"),
@@ -205,14 +195,13 @@ impl ObjectStore {
                 counters: RwLock::new(Counters::default()),
                 faults: std::sync::atomic::AtomicU64::new(0),
                 injector: RwLock::new(None),
-                executor: RwLock::new(Executor::sequential()),
                 wal: RwLock::new(None),
             }),
         }
     }
 
     /// Cumulative microseconds spent waiting on the contended arena
-    /// lock — a host fact (never fingerprinted), like `ExecStats`.
+    /// lock — a host fact (never fingerprinted).
     pub fn lock_wait_micros(&self) -> u64 {
         self.inner.arena.lock_wait_micros()
     }
@@ -228,12 +217,6 @@ impl ObjectStore {
     /// [`ObjectStore::arena_write_acquisitions`].
     pub fn arena_read_acquisitions(&self) -> u64 {
         self.inner.arena.read_acquisitions()
-    }
-
-    /// Route server-side chunking/digesting onto `exec`. Results are
-    /// byte-identical at any parallelism; only wall-clock changes.
-    pub fn set_executor(&self, exec: Executor) {
-        *self.inner.executor.write() = exec;
     }
 
     /// Create a bucket with a lifecycle rule.
@@ -312,26 +295,19 @@ impl ObjectStore {
         manifest: &ChunkManifest,
         by_digest: &BTreeMap<u64, &Bytes>,
         provided: &[Chunk],
-        pre_hashed: Option<&[u64]>,
         verify: bool,
         collect_new: bool,
     ) -> Result<Vec<(u64, Bytes)>, StoreError> {
         let mut arena = self.inner.arena.lock();
         if verify {
-            for (i, c) in provided.iter().enumerate() {
+            for c in provided {
                 // Only hash-verify bytes that would actually be
                 // admitted; resident chunks dedup against the stored
                 // copy and their provided bytes are never written.
-                if !arena.contains(c.digest) {
-                    let actual = match pre_hashed {
-                        Some(h) => h[i],
-                        None => fnv::hash(&c.data),
-                    };
-                    if actual != c.digest {
-                        return Err(StoreError::DeltaMismatch {
-                            reason: "chunk bytes do not match claimed digest",
-                        });
-                    }
+                if !arena.contains(c.digest) && fnv::hash(&c.data) != c.digest {
+                    return Err(StoreError::DeltaMismatch {
+                        reason: "chunk bytes do not match claimed digest",
+                    });
                 }
             }
             for r in &manifest.chunks {
@@ -398,8 +374,7 @@ impl ObjectStore {
             return Err(StoreError::Unavailable);
         }
         let data = data.into();
-        let exec = self.inner.executor.read().clone();
-        let (manifest, chunks) = chunk_bytes_on(&exec, &data, self.inner.chunker);
+        let (manifest, chunks) = chunk_bytes(&data, self.inner.chunker);
         let size = manifest.total_len;
         let etag = manifest.etag.clone();
         let user: BTreeMap<String, String> = user_meta.into_iter().collect();
@@ -410,7 +385,7 @@ impl ObjectStore {
         let by_digest: BTreeMap<u64, &Bytes> =
             chunks.iter().map(|c| (c.digest, &c.data)).collect();
 
-        self.commit_put(bucket, key, &manifest, &by_digest, &[], None, false, user, size)?;
+        self.commit_put(bucket, key, &manifest, &by_digest, &[], false, user, size)?;
 
         let mut c = self.inner.counters.write();
         c.puts += 1;
@@ -430,7 +405,6 @@ impl ObjectStore {
         manifest: &ChunkManifest,
         by_digest: &BTreeMap<u64, &Bytes>,
         provided: &[Chunk],
-        pre_hashed: Option<&[u64]>,
         delta: bool,
         user: BTreeMap<String, String>,
         wire_bytes: u64,
@@ -441,7 +415,7 @@ impl ObjectStore {
             return Err(StoreError::NoSuchBucket(bucket.to_string()));
         }
         let new_chunks =
-            self.admit(manifest, by_digest, provided, pre_hashed, delta, wal.is_some())?;
+            self.admit(manifest, by_digest, provided, delta, wal.is_some())?;
         let now = self.inner.clock.now();
         if let Some(w) = &wal {
             w.append(
@@ -508,20 +482,7 @@ impl ObjectStore {
         }
         let user: BTreeMap<String, String> = user_meta.into_iter().collect();
 
-        // Under a pool executor, bulk deltas pre-hash their provided
-        // bytes in parallel *before* the state lock; the verification
-        // loop below then compares precomputed digests instead of
-        // hashing inline while writers wait. The accept/reject outcome
-        // is identical (same chunks checked, in the same order).
-        let exec = self.inner.executor.read().clone();
         let provided_bytes: u64 = provided.iter().map(|c| c.data.len() as u64).sum();
-        let pre_hashed: Option<Vec<u64>> =
-            if !exec.is_sequential() && provided_bytes >= PAR_VERIFY_MIN_BYTES {
-                Some(exec.par_map(provided.iter().collect(), |c: &Chunk| fnv::hash(&c.data)))
-            } else {
-                None
-            };
-
         // A chunk that is already resident dedups against the stored
         // copy and its provided bytes are never admitted, so `admit`
         // only hash-verifies the bytes that would actually be written
@@ -538,7 +499,6 @@ impl ObjectStore {
             manifest,
             &by_digest,
             provided,
-            pre_hashed.as_deref(),
             true,
             user,
             wire,
@@ -1406,44 +1366,6 @@ mod tests {
             s.put_delta("keep", "a", &bad, &[], []),
             Err(StoreError::DeltaMismatch { .. })
         ));
-    }
-
-    #[test]
-    fn pool_executor_store_matches_sequential() {
-        // Big enough to cross both PAR_CHUNK_MIN_BYTES (server-side
-        // put chunking) and PAR_VERIFY_MIN_BYTES (delta pre-hash), so
-        // the pool paths actually run.
-        let payload = varied(100_000, 9);
-        let (manifest, chunks) = chunk_bytes(&payload, ChunkerParams::DEFAULT);
-        let reference = {
-            let s = store();
-            let etag = s.put("keep", "whole", payload.clone(), []).unwrap();
-            let detag = s.put_delta("keep", "delta", &manifest, &chunks, []).unwrap();
-            (etag, detag, s.usage())
-        };
-        for threads in [2, 8] {
-            let s = store();
-            s.set_executor(Executor::new(threads));
-            let etag = s.put("keep", "whole", payload.clone(), []).unwrap();
-            let detag = s.put_delta("keep", "delta", &manifest, &chunks, []).unwrap();
-            assert_eq!(
-                (etag, detag, s.usage()),
-                reference,
-                "store accounting drift at threads={threads}"
-            );
-            assert_eq!(s.get("keep", "delta").unwrap().data.as_ref(), &payload[..]);
-            // Corruption is still rejected on the pre-hashed path
-            // (fresh store: the chunk must not already be resident,
-            // or its provided bytes would be ignored by design).
-            let fresh = store();
-            fresh.set_executor(Executor::new(threads));
-            let mut bad = chunks.clone();
-            bad[0].data = Bytes::from(vec![0xAB; bad[0].data.len()]);
-            assert!(matches!(
-                fresh.put_delta("keep", "x", &manifest, &bad, []),
-                Err(StoreError::DeltaMismatch { .. })
-            ));
-        }
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //!
 //! Instrumented hot paths push directly into the registry; components
 //! that already keep their own cumulative stats (broker, store, db,
-//! the `rai-exec` pool) register a *collector* closure instead, which
+//! the scheduling rounds) register a *collector* closure instead, which
 //! mirrors those stats into the registry every time
 //! [`Telemetry::snapshot`] runs.
 //!
@@ -99,12 +99,7 @@ pub mod names {
     pub const WORKER_CRASHES_TOTAL: &str = "rai_worker_crashes_total";
     // Trace-store hygiene.
     pub const TRACES_DROPPED_LATE_TOTAL: &str = "rai_traces_dropped_late_total";
-    // Work-stealing executor pool counters (mirrored by a collector).
-    pub const EXEC_SPAWNED_TOTAL: &str = "rai_exec_spawned_total";
-    pub const EXEC_INLINE_RUNS_TOTAL: &str = "rai_exec_inline_runs_total";
-    pub const EXEC_STOLEN_TOTAL: &str = "rai_exec_stolen_total";
-    pub const EXEC_PARKED_TOTAL: &str = "rai_exec_parked_total";
-    pub const EXEC_INJECTED_TOTAL: &str = "rai_exec_injected_total";
+    // Scheduling-round counters (mirrored by a collector).
     pub const EXEC_BATCHES_TOTAL: &str = "rai_exec_batches_total";
     pub const EXEC_BATCH_JOBS_TOTAL: &str = "rai_exec_batch_jobs_total";
     // Write-ahead log counters, labeled per log ("log" = "db"/"store").

@@ -39,12 +39,6 @@ pub struct ChaosConfig {
     pub seed: u64,
     /// The fault plan to execute.
     pub plan: FaultPlan,
-    /// Job-pool width (1 = sequential reference). Whole submissions
-    /// execute concurrently at `N > 1`, but fault draws are consumed
-    /// only in the serial claim/commit phases — whose order is fixed
-    /// by the round structure, not the pool — so chaos fingerprints
-    /// are byte-identical at every setting (DESIGN.md §15).
-    pub parallelism: usize,
 }
 
 impl ChaosConfig {
@@ -60,7 +54,6 @@ impl ChaosConfig {
             broker_attempts: 8,
             seed,
             plan: FaultPlan::chaos(seed),
-            parallelism: 1,
         }
     }
 
@@ -77,15 +70,7 @@ impl ChaosConfig {
             broker_attempts: 6,
             seed,
             plan,
-            parallelism: 1,
         }
-    }
-
-    /// The same scenario with the payload pipeline on an `n`-worker
-    /// pool (1 = sequential reference).
-    pub fn with_parallelism(mut self, n: usize) -> Self {
-        self.parallelism = n;
-        self
     }
 }
 
@@ -182,10 +167,9 @@ impl Driver {
     /// Drive every live worker until none makes progress, one
     /// scheduling round at a time: deaths land at the round boundary,
     /// each live worker claims at most one job (serially, in worker
-    /// order — fault draws included), the round executes on the job
-    /// pool, and commits apply serially in claim order. The round
-    /// shape is independent of pool width, so fault draws, crashes,
-    /// and the final fingerprint are too. Crashes restart the worker
+    /// order — fault draws included), the round executes, and commits
+    /// apply in claim order, so fault draws, crashes and the final
+    /// fingerprint follow the round shape. Crashes restart the worker
     /// at the end of the round; stalls wait out the in-flight timeout
     /// so the broker reclaims the held message.
     fn drive(&mut self) {
@@ -324,7 +308,6 @@ pub fn run_chaos(config: &ChaosConfig) -> ChaosResult {
             seed: config.seed,
             broker_attempts: config.broker_attempts,
             fault_plan: Some(config.plan.clone()),
-            parallelism: config.parallelism,
             ..Default::default()
         },
         clock.clone(),

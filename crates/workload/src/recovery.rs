@@ -22,7 +22,7 @@
 //!   job that already completed;
 //! * with a clean kill and a fault-free plan, the recovered run's
 //!   fingerprint is **byte-identical** to an uninterrupted same-seed
-//!   run, at any payload-pipeline width.
+//!   run.
 
 use crate::chaos::{audit_terminal_state, AuditOutcome, ChaosConfig};
 use rai_broker::dead_letter_topic;
@@ -46,9 +46,8 @@ pub struct KillPoint {
     /// When within the round: `None` kills right after the round's
     /// submissions are accepted (jobs queued, none processed);
     /// `Some(n)` kills after `n` job commits of the round's
-    /// processing — between two serial commit points, whatever the
-    /// pool width; `Some(u64::MAX)` kills at the round boundary, after
-    /// the queue fully drains.
+    /// processing — between two commit points; `Some(u64::MAX)` kills
+    /// at the round boundary, after the queue fully drains.
     pub after_steps: Option<u64>,
 }
 
@@ -232,13 +231,12 @@ impl Driver {
     /// `true`: the process dies here, mid-queue, claims and all).
     ///
     /// Rounds follow the chaos driver's shape — serial claims in
-    /// worker order, pooled execution, serial commits in claim order —
-    /// so the kill always lands between two commits regardless of pool
-    /// width. Execution is pure (commits are the only store/db/broker
-    /// mutation points), so a mid-round kill simply drops the round's
-    /// executed-but-uncommitted jobs on the floor: their claims were
-    /// never acked and their effects were never applied, exactly as if
-    /// the process had died holding them.
+    /// worker order, execution, commits in claim order — so the kill
+    /// always lands between two commits. Execution is pure (commits
+    /// are the only store/db/broker mutation points), so a mid-round
+    /// kill simply drops the round's executed-but-uncommitted jobs on
+    /// the floor: their claims were never acked and their effects were
+    /// never applied, exactly as if the process had died holding them.
     fn drive(&mut self, kill_at_step: Option<u64>) -> bool {
         let kill_due = |steps: u64| kill_at_step.is_some_and(|k| steps >= k);
         if kill_due(self.steps) {
@@ -356,7 +354,6 @@ pub fn run_recovery(config: &RecoveryConfig) -> RecoveryResult {
         seed: chaos.seed,
         broker_attempts: chaos.broker_attempts,
         fault_plan: Some(chaos.plan.clone()),
-        parallelism: chaos.parallelism,
         durability: config.durability,
         ..Default::default()
     };
@@ -593,21 +590,6 @@ mod tests {
             assert_eq!(resumed.accepted, baseline.accepted);
             assert_eq!(resumed.duplicated, Vec::<u64>::new());
         }
-    }
-
-    #[test]
-    fn clean_kill_resume_is_byte_identical_at_width_4() {
-        let kill = KillPoint::mid_drive(4, 3);
-        let mut base_cfg = RecoveryConfig::clean(11, kill);
-        base_cfg.chaos = base_cfg.chaos.with_parallelism(4);
-        let baseline = run_recovery(&RecoveryConfig { kill: None, ..base_cfg.clone() });
-        let resumed = run_recovery(&base_cfg);
-        assert!(resumed.killed);
-        resumed.verify().unwrap();
-        assert_eq!(resumed.fingerprint, baseline.fingerprint);
-        // And the pool width changes nothing vs the sequential run.
-        let sequential = run_recovery(&RecoveryConfig::clean(11, kill));
-        assert_eq!(resumed.fingerprint, sequential.fingerprint);
     }
 
     #[test]

@@ -44,15 +44,6 @@ pub struct SemesterConfig {
     /// pre-overhaul full-scan configuration `perf_report` times as its
     /// reference run; results and fingerprints are identical.
     pub db_hot_indexes: bool,
-    /// Width of the `rai_exec` pool whole submissions execute on. `1`
-    /// — the preserved reference configuration — runs each job inline;
-    /// `N > 1` executes up to `N` independent submissions concurrently
-    /// between their serial claim and commit phases (plus the payload
-    /// pipeline's chunking/digesting offload). Claims and commits stay
-    /// on the event loop in FIFO order, so
-    /// [`SemesterResult::fingerprint`] is byte-identical at every
-    /// setting (DESIGN.md §15).
-    pub parallelism: usize,
 }
 
 /// Fleet provisioning policy for the semester (the elasticity
@@ -85,7 +76,6 @@ impl SemesterConfig {
             fleet: FleetPolicy::PaperSchedule,
             arrivals: CircadianModel::paper_calibrated(),
             db_hot_indexes: true,
-            parallelism: 1,
         }
     }
 
@@ -102,15 +92,7 @@ impl SemesterConfig {
             fleet: FleetPolicy::PaperSchedule,
             arrivals,
             db_hot_indexes: true,
-            parallelism: 1,
         }
-    }
-
-    /// The same semester with the payload pipeline on an
-    /// `n`-worker pool (1 = sequential reference).
-    pub fn with_parallelism(mut self, n: usize) -> Self {
-        self.parallelism = n;
-        self
     }
 }
 
@@ -132,7 +114,7 @@ pub struct SemesterResult {
     /// log-bucketed histogram.
     pub queue_wait_secs: (f64, f64, f64),
     /// The full queue-wait latency distribution (µs resolution,
-    /// byte-identical across same-seed runs and pool widths).
+    /// byte-identical across same-seed runs).
     pub queue_wait: LogHistogram,
     /// Broker queue depth sampled at every submit/dispatch transition,
     /// bucketed hourly (per-bucket maxima show backpressure peaks).
@@ -266,9 +248,9 @@ fn dispatch(state: &mut SemState, sched: &mut Sched<'_>) {
     loop {
         // One scheduling round: claim up to the free capacity in FIFO
         // order (the broker is FIFO, so the head of `waiting` is what
-        // the next worker will pop), at most one job per worker so the
+        // the next worker will pop), at most one job per worker, so the
         // batch shape — and therefore every per-worker draw sequence —
-        // is independent of pool width.
+        // follows the arrival order.
         let n_workers = state.system.workers_mut().len();
         let budget = state
             .capacity(now)
@@ -294,9 +276,8 @@ fn dispatch(state: &mut SemState, sched: &mut Sched<'_>) {
             popped.push((wi, task));
         }
         let claims = state.system.claim_tasks(popped);
-        // Execute the round on the job pool; commit serially in claim
-        // order, so db rows, waits, and follow-up events land exactly
-        // as the sequential reference does.
+        // Execute the round, then commit in claim order, so db rows,
+        // waits, and follow-up events land in FIFO order.
         let executor = state.system.executor().clone();
         executor.run_jobs(
             claims,
@@ -374,7 +355,6 @@ pub fn run_semester(config: &SemesterConfig) -> SemesterResult {
             rate_limit: None, // spacing is enforced by the arrival model
             seed: config.seed,
             db_hot_indexes: config.db_hot_indexes,
-            parallelism: config.parallelism,
             ..Default::default()
         },
         clock.clone(),

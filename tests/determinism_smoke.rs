@@ -2,6 +2,7 @@
 //! from the root package's own test run, so `cargo test -q` catches a
 //! determinism break without the workspace suites or the bench bins.
 
+use rai::workload::chaos::{run_chaos, ChaosConfig};
 use rai::workload::recovery::{run_recovery, KillPoint, RecoveryConfig};
 use rai::workload::semester::{run_semester, SemesterConfig};
 
@@ -9,19 +10,23 @@ use rai::workload::semester::{run_semester, SemesterConfig};
 /// seed 2016).
 const SEMESTER_REFERENCE: u64 = 0xc9f1_c2aa_0b01_e04a;
 
+/// `chaos.fingerprint` in BENCH_perf.json (acceptance profile, seed
+/// 2016).
+const CHAOS_REFERENCE: u64 = 0x1912_eb6b_bacb_8fe9;
+
 /// Seed 2016's `clean_kill.fingerprints` entry in BENCH_recovery.json.
 const CLEAN_KILL_REFERENCE: u64 = 0x924d_0aa1_7f9a_0929;
 
 #[test]
-fn semester_reference_fingerprint_at_widths_1_and_2() {
-    for width in [1, 2] {
-        let result = run_semester(&SemesterConfig::scaled(12, 21, 2016).with_parallelism(width));
-        assert_eq!(
-            result.fingerprint(),
-            SEMESTER_REFERENCE,
-            "semester fingerprint drifted at parallelism {width}"
-        );
-    }
+fn semester_reference_fingerprint() {
+    let result = run_semester(&SemesterConfig::scaled(12, 21, 2016));
+    assert_eq!(result.fingerprint(), SEMESTER_REFERENCE);
+}
+
+#[test]
+fn acceptance_chaos_reproduces_reference_fingerprint() {
+    let result = run_chaos(&ChaosConfig::acceptance(2016));
+    assert_eq!(result.fingerprint, CHAOS_REFERENCE);
 }
 
 #[test]
